@@ -8,7 +8,6 @@ the user-level fairness index, the worst user ratio, and the unused capacity.
 """
 from bhca import (
     ModcodTable,
-    SolverOptions,
     adjacency_pairs,
     build_model,
     build_report,
@@ -27,11 +26,11 @@ rates = compute_rate_table(scenario, ModcodTable.default())
 pairs = adjacency_pairs(scenario)
 
 model = build_model(scenario, rates, pairs)
-solution = solve_milp(model, SolverOptions(node_limit=12))
+solution = solve_milp(model)
 plan = decode_plan(model, solution, scenario)
 joint = build_report(plan, scenario)
 
-bh_plan = solve_bh(scenario, rates, pairs, SolverOptions(node_limit=300))
+bh_plan = solve_bh(scenario, rates, pairs)
 bh = build_report(bh_plan, scenario)
 
 window = config.hopping_window_duration

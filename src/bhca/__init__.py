@@ -27,7 +27,7 @@ from .model import (
     validate_solution,
 )
 from .simplex import LpSolution, solve_dense
-from .solver import MilpSolution, SolverOptions, brute_force, solve_lp, solve_milp
+from .solver import MilpSolution, SolverOptions, branch_and_bound, brute_force, solve_lp, solve_milp
 from .lp_format import ParsedLp, export_lp, parse_lp, round_trip_matches
 from .baseline import BhPlan, build_bh_model, distribute_slots, solve_bh
 from .metrics import MetricsReport, build_report, jain_index, report_csv, report_json
@@ -54,6 +54,7 @@ __all__ = [
     "VariableCatalog",
     "ViolationReport",
     "adjacency_pairs",
+    "branch_and_bound",
     "build_bh_model",
     "build_model",
     "build_report",

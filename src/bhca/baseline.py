@@ -17,32 +17,12 @@ from .model import (
     DEFAULT_EPSILON_TIEBREAK,
     GREATER,
     LESS,
+    BaselineCatalog,
     LinearConstraint,
     ModelInstance,
-    SlotStructure,
 )
 from .scenario import Scenario
-from .solver import MilpSolution, SolverOptions, _maximal_cliques, solve_milp
-
-
-class BaselineCatalog:
-    """Column layout of the stage-1 model: z (l, t) blocks, then theta."""
-
-    def __init__(self, num_clusters: int, num_slots: int):
-        self.num_clusters = num_clusters
-        self.num_slots = num_slots
-        self.off_z = 0
-        self.theta_col = num_clusters * num_slots
-        self.num_cols = self.theta_col + 1
-
-    def z_col(self, l: int, t: int) -> int:
-        return l * self.num_slots + t
-
-    def col_name(self, j: int) -> str:
-        if j < self.theta_col:
-            l, t = divmod(j, self.num_slots)
-            return f"z_{l + 1}_{t + 1}"
-        return "theta"
+from .solver import MilpSolution, SolverOptions, solve_milp
 
 
 def cluster_slot_capacity(scenario: Scenario, rates: RateTable) -> np.ndarray:
@@ -71,8 +51,9 @@ def build_bh_model(
 ) -> ModelInstance:
     """Stage-1 model: maximize the worst cluster ratio over illumination only.
 
-    Rows: per-cluster ratio floors, the per-slot activation cap, pairwise
-    non-adjacency, and the implied clique strengthenings of those pairs.
+    Rows: per-cluster ratio floors, the per-slot activation cap, and pairwise
+    non-adjacency. The model carries the per-slot cluster capacities and
+    cluster demands as its rate and demand data.
     """
     cfg = scenario.config
     L, T = cfg.num_clusters, cfg.slots_per_window
@@ -86,9 +67,7 @@ def build_bh_model(
         cols = [cat.z_col(l, t) for t in range(T)] + [cat.theta_col]
         coefs = [float(ratio[l])] * T + [-1.0]
         rows.append(LinearConstraint(tuple(cols), tuple(coefs), GREATER, 0.0, f"RATIO_l{l + 1}"))
-    c3_rows = []
     for t in range(T):
-        c3_rows.append(len(rows))
         rows.append(
             LinearConstraint(
                 tuple(cat.z_col(l, t) for l in range(L)),
@@ -99,10 +78,8 @@ def build_bh_model(
             )
         )
     sorted_pairs = sorted(tuple(p) for p in pairs)
-    c6_rows = {t: [] for t in range(T)}
     for (n1, n2) in sorted_pairs:
         for t in range(T):
-            c6_rows[t].append(len(rows))
             rows.append(
                 LinearConstraint(
                     (cat.z_col(n1, t), cat.z_col(n2, t)),
@@ -110,22 +87,6 @@ def build_bh_model(
                     LESS,
                     1.0,
                     f"C6_l{n1 + 1}_l{n2 + 1}_t{t + 1}",
-                )
-            )
-    cliq_rows = {t: [] for t in range(T)}
-    for clique in _maximal_cliques(L, sorted_pairs):
-        if len(clique) < 3:
-            continue
-        name = "_".join(f"l{l + 1}" for l in clique)
-        for t in range(T):
-            cliq_rows[t].append(len(rows))
-            rows.append(
-                LinearConstraint(
-                    tuple(cat.z_col(l, t) for l in clique),
-                    (1.0,) * len(clique),
-                    LESS,
-                    1.0,
-                    f"CLIQ_{name}_t{t + 1}",
                 )
             )
 
@@ -141,13 +102,6 @@ def build_bh_model(
     binary = np.zeros(cat.num_cols, dtype=bool)
     binary[: cat.theta_col] = True
 
-    slot_cols = np.empty((T, L), dtype=np.int64)
-    for t in range(T):
-        slot_cols[t] = [cat.z_col(l, t) for l in range(L)]
-    slot_rows = np.empty((T, 1 + len(sorted_pairs) + len(cliq_rows[0])), dtype=np.int64)
-    for t in range(T):
-        slot_rows[t] = [c3_rows[t]] + c6_rows[t] + cliq_rows[t]
-
     return ModelInstance(
         catalog=cat,
         constraints=tuple(rows),
@@ -156,7 +110,10 @@ def build_bh_model(
         upper=upper,
         binary=binary,
         epsilon_tiebreak=epsilon_tiebreak,
-        slot_structure=SlotStructure(num_slots=T, slot_cols=slot_cols, slot_rows=slot_rows),
+        rate_per_slot=caps,
+        demand=demand,
+        pairs=frozenset(sorted_pairs),
+        active_clusters_per_slot=cfg.active_clusters_per_slot,
     )
 
 
@@ -234,8 +191,6 @@ def solve_bh(
     U = cfg.users_per_cluster
     model = build_bh_model(scenario, rates, pairs)
     stage1 = solve_milp(model, options, log=log)
-    if stage1.status == "infeasible":
-        raise RuntimeError("baseline stage-1 model reported infeasible; this cannot happen")
     cat = model.catalog
     z = stage1.values[: cat.theta_col].reshape(L, T) > 0.5
 

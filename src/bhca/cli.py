@@ -3,8 +3,9 @@
 ``bhca run`` generates a scenario, solves the joint scheme and/or the
 conventional baseline, and writes a reproducible artifact set (scenario
 snapshot, LP export, solver logs, decoded plans, metrics, comparison
-summary, and a manifest with checksums of every emitted file). With
-``--workers 1`` identical invocations produce byte-identical artifacts.
+summary, and a manifest with checksums of every emitted file). Identical
+invocations produce byte-identical artifacts. The solver is single-threaded:
+``--workers`` accepts only 1.
 
 ``bhca validate-config`` checks a configuration document and prints one
 diagnostic per violated rule.
@@ -33,6 +34,7 @@ logger = logging.getLogger("bhca")
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_LIMIT = 3
+EXIT_SOLVER = 4
 
 BUILTIN_CONFIGS = {
     "desk": "config_desk.json",
@@ -81,16 +83,12 @@ class RunManifest:
     out_dir: str
     node_limit: int = DEFAULT_NODE_LIMIT
     time_limit: float | None = None
-    workers: int = 1
+    workers: int = 1   # the solver is single-threaded; only 1 is accepted
     export_lp: bool = False
     checksums: dict = field(default_factory=dict)
 
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(
-            node_limit=self.node_limit,
-            time_limit=self.time_limit,
-            worker_count=self.workers,
-        )
+        return SolverOptions(node_limit=self.node_limit, time_limit=self.time_limit)
 
 
 def _dump_json(obj) -> str:
@@ -128,6 +126,9 @@ def run(manifest: RunManifest) -> int:
         config = dataclasses.replace(config, rng_seed=manifest.seed)
     if manifest.scheme not in ("bhca", "bh", "both"):
         print(f"config error: unknown scheme {manifest.scheme!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    if manifest.workers != 1:
+        print(f"config error: workers must be 1, got {manifest.workers}", file=sys.stderr)
         return EXIT_CONFIG
 
     logger.info("generating scenario (seed %d)", config.rng_seed)
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory for artifacts")
     run_p.add_argument("--time-limit", type=float, default=None, help="solver seconds per scheme")
     run_p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--workers", type=int, default=1, help="solver threads; only 1 is supported")
     run_p.add_argument("--export-lp", action="store_true", help="emit the joint model in LP format")
 
     val_p = sub.add_parser("validate-config", help="check a config document")
@@ -282,6 +283,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        # A numerical failure while solving (e.g. a simplex stall or a failed
+        # plan audit); nothing has been written yet.
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -128,6 +128,26 @@ class VariableCatalog:
         return mask
 
 
+class BaselineCatalog:
+    """Column layout of the baseline stage-1 model: z (l, t) blocks, then theta."""
+
+    def __init__(self, num_clusters: int, num_slots: int):
+        self.num_clusters = num_clusters
+        self.num_slots = num_slots
+        self.off_z = 0
+        self.theta_col = num_clusters * num_slots
+        self.num_cols = self.theta_col + 1
+
+    def z_col(self, l: int, t: int) -> int:
+        return l * self.num_slots + t
+
+    def col_name(self, j: int) -> str:
+        if j < self.theta_col:
+            l, t = divmod(j, self.num_slots)
+            return f"z_{l + 1}_{t + 1}"
+        return "theta"
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     """One sparse row: sum(coefs * x[cols]) <sense> rhs. Zero coefficients are never stored."""
@@ -143,21 +163,6 @@ class LinearConstraint:
         return dict(zip(self.cols, self.coefs))
 
 
-@dataclass(frozen=True)
-class SlotStructure:
-    """Which columns and rows belong to each time-slot, in parallel order.
-
-    ``slot_cols[t][k]`` plays the same structural role for every t, and so does
-    ``slot_rows[t][k]``; rows outside ``slot_rows`` touch slot columns only with
-    slot-independent coefficients. This is what makes slots with identical
-    branching bounds interchangeable.
-    """
-
-    num_slots: int
-    slot_cols: np.ndarray  # (T, k) int
-    slot_rows: np.ndarray  # (T, r) int
-
-
 @dataclass(eq=False)
 class ModelInstance:
     """Immutable assembled model: catalog, rows, scalarized objective, bounds."""
@@ -171,8 +176,7 @@ class ModelInstance:
     epsilon_fill: float = DEFAULT_EPSILON_FILL
     epsilon_tiebreak: float = DEFAULT_EPSILON_TIEBREAK
     big_m: float = 1.0
-    slot_structure: SlotStructure | None = None
-    # Provenance data used by decoding and the enumeration oracle.
+    # Provenance data for decoding, solving and the oracle (per cluster in baseline models).
     rate_per_slot: np.ndarray | None = None
     demand: np.ndarray | None = None
     pairs: frozenset | None = None
@@ -271,7 +275,6 @@ def build_model(
                 tag=tag,
             )
         )
-        return len(rows) - 1
 
     # C1: each user aggregates at most delta_max carriers.
     for l in range(L):
@@ -294,16 +297,13 @@ def build_model(
                 f"C2_l{l + 1}_c{c + 1}",
             )
     # C3: at most N_T clusters active per slot.
-    c3_rows = []
     for t in range(T):
-        c3_rows.append(
-            add(
-                [cat.z_col(l, t) for l in range(L)],
-                [1.0] * L,
-                LESS,
-                cfg.active_clusters_per_slot,
-                f"C3_t{t + 1}",
-            )
+        add(
+            [cat.z_col(l, t) for l in range(L)],
+            [1.0] * L,
+            LESS,
+            cfg.active_clusters_per_slot,
+            f"C3_t{t + 1}",
         )
     # C4: per-user supply covers the cluster ratio floor. Rows are divided
     # through by the (positive) demand so coefficients stay O(1).
@@ -335,17 +335,14 @@ def build_model(
         add(cols, coefs, GREATER, 0.0, f"C5_l{l + 1}")
     # C6: adjacent clusters never co-illuminated.
     sorted_pairs = sorted(tuple(p) for p in pairs)
-    c6_rows = {t: [] for t in range(T)}
     for (n1, n2) in sorted_pairs:
         for t in range(T):
-            c6_rows[t].append(
-                add(
-                    [cat.z_col(n1, t), cat.z_col(n2, t)],
-                    [1.0, 1.0],
-                    LESS,
-                    1.0,
-                    f"C6_l{n1 + 1}_l{n2 + 1}_t{t + 1}",
-                )
+            add(
+                [cat.z_col(n1, t), cat.z_col(n2, t)],
+                [1.0, 1.0],
+                LESS,
+                1.0,
+                f"C6_l{n1 + 1}_l{n2 + 1}_t{t + 1}",
             )
     # C7: fill-rate active exactly when the carrier is assigned (big-M = 1).
     big_m = 1.0
@@ -380,58 +377,49 @@ def build_model(
         )
     add([cat.theta_col, cat.tl_col], [1.0, -1.0], LESS, 0.0, "C8b")
     # C9: envelope forcing q = beta * z at binary z.
-    c9_rows = {t: [] for t in range(T)}
     for l in range(L):
         for c in range(C):
             for u in range(U):
                 for t in range(T):
-                    c9_rows[t].append(
-                        add(
-                            [cat.q_col(l, c, u, t)],
-                            [1.0],
-                            GREATER,
-                            0.0,
-                            f"C9a_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
-                        )
+                    add(
+                        [cat.q_col(l, c, u, t)],
+                        [1.0],
+                        GREATER,
+                        0.0,
+                        f"C9a_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
                     )
     for l in range(L):
         for c in range(C):
             for u in range(U):
                 for t in range(T):
-                    c9_rows[t].append(
-                        add(
-                            [cat.q_col(l, c, u, t), cat.z_col(l, t)],
-                            [1.0, -1.0],
-                            LESS,
-                            0.0,
-                            f"C9b_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
-                        )
+                    add(
+                        [cat.q_col(l, c, u, t), cat.z_col(l, t)],
+                        [1.0, -1.0],
+                        LESS,
+                        0.0,
+                        f"C9b_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
                     )
     for l in range(L):
         for c in range(C):
             for u in range(U):
                 for t in range(T):
-                    c9_rows[t].append(
-                        add(
-                            [cat.q_col(l, c, u, t), cat.beta_col(l, c, u)],
-                            [1.0, -1.0],
-                            LESS,
-                            0.0,
-                            f"C9c_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
-                        )
+                    add(
+                        [cat.q_col(l, c, u, t), cat.beta_col(l, c, u)],
+                        [1.0, -1.0],
+                        LESS,
+                        0.0,
+                        f"C9c_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
                     )
     for l in range(L):
         for c in range(C):
             for u in range(U):
                 for t in range(T):
-                    c9_rows[t].append(
-                        add(
-                            [cat.q_col(l, c, u, t), cat.beta_col(l, c, u), cat.z_col(l, t)],
-                            [1.0, -1.0, -1.0],
-                            GREATER,
-                            -1.0,
-                            f"C9d_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
-                        )
+                    add(
+                        [cat.q_col(l, c, u, t), cat.beta_col(l, c, u), cat.z_col(l, t)],
+                        [1.0, -1.0, -1.0],
+                        GREATER,
+                        -1.0,
+                        f"C9d_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
                     )
 
     objective = np.zeros(cat.num_cols)
@@ -439,20 +427,6 @@ def build_model(
     for l in range(L):
         objective[cat.tu_col(l)] = epsilon_tiebreak
     objective[cat.tl_col] = epsilon_tiebreak
-
-    slot_cols = np.empty((T, L + L * C * U), dtype=np.int64)
-    for t in range(T):
-        zc = [cat.z_col(l, t) for l in range(L)]
-        qc = [
-            cat.q_col(l, c, u, t)
-            for l in range(L)
-            for c in range(C)
-            for u in range(U)
-        ]
-        slot_cols[t] = zc + qc
-    slot_rows = np.empty((T, 1 + len(sorted_pairs) + 4 * L * C * U), dtype=np.int64)
-    for t in range(T):
-        slot_rows[t] = [c3_rows[t]] + c6_rows[t] + c9_rows[t]
 
     return ModelInstance(
         catalog=cat,
@@ -464,7 +438,6 @@ def build_model(
         epsilon_fill=epsilon_fill,
         epsilon_tiebreak=epsilon_tiebreak,
         big_m=big_m,
-        slot_structure=SlotStructure(num_slots=T, slot_cols=slot_cols, slot_rows=slot_rows),
         rate_per_slot=R,
         demand=demand,
         pairs=frozenset(tuple(p) for p in sorted_pairs),

@@ -1,28 +1,42 @@
-"""Exact MILP solving at desk scale: LP relaxations, branch-and-bound, and
-an enumeration oracle for tiny instances.
+"""Exact solving of the planner models, plain branch-and-bound, and an
+enumeration oracle for tiny instances.
 
-Node relaxations exploit slot interchangeability: time-slots whose columns
-carry identical branching bounds are exchangeable, so an optimal relaxation
-point exists that is uniform within each such class. Each node therefore
-solves a collapsed LP with one column block per slot class and expands the
-result back to the full column space. ``solve_lp`` deliberately bypasses the
-collapse so tests can cross-check the two routes against each other.
+Both planner models depend on the illumination schedule only through how
+many slots each cluster gets: ``a`` and ``beta`` carry no time axis, and at
+binary ``z`` the product rows force ``sum_t q[l,c,u,t] = beta[l,c,u] * n_l``.
+``solve_milp`` therefore solves the joint model (``build_model``) and the
+baseline stage-1 model (``build_bh_model``) by slot counts:
+
+1. A *pattern* is an independent set of the adjacency graph with at most
+   N_T clusters. A count vector ``n`` is packable when integer pattern
+   counts ``y`` with ``sum y <= T`` cover it.
+2. ``g_l`` is cluster ``l``'s best ratio in one slot (one LP for the joint
+   model, the per-slot cluster ratio for the baseline); ``n_l`` slots reach
+   exactly ``n_l * g_l``.
+3. ``theta* = max`` over packable ``n`` of ``min_l n_l * g_l``, found by a
+   search over the candidates ``k * g_l`` with one packing check each.
+4. The epsilon tie-break is settled exactly by an aggregated count model
+   over ``y`` and the fills ``w = beta * n_l``, restricted to the counts that
+   can still beat ``theta*``.
+5. The winning counts expand to a schedule and a full column vector.
+
+Every LP is one node against the node limit, and the limits are checked
+before each one. ``branch_and_bound`` is a plain best-bound integer search
+over a model's full dense LP; the count route runs its sub-problems through
+the same search, and tests use it on the published models as an
+independent cross-check.
 """
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappush, heappop
 
 import numpy as np
 
-from .model import LESS, LinearConstraint, ModelInstance, SlotStructure, VariableCatalog
+from .model import BaselineCatalog, ModelInstance, VariableCatalog
 from .simplex import LpSolution, solve_dense
-
-BRANCH_RULES = ("most_fractional", "lowest_index")
-NODE_ORDERS = ("best_bound", "depth_first")
 
 
 @dataclass
@@ -31,9 +45,6 @@ class SolverOptions:
     feas_tol: float = 1e-8
     node_limit: int = 1_000_000
     time_limit: float | None = None
-    branch_rule: str = "most_fractional"
-    node_order: str = "best_bound"
-    worker_count: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.integrality_tol <= 1e-3:
@@ -42,12 +53,6 @@ class SolverOptions:
             raise ValueError("feas_tol must be in (0, 1e-3]")
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
-        if self.branch_rule not in BRANCH_RULES:
-            raise ValueError(f"branch_rule must be one of {BRANCH_RULES}")
-        if self.node_order not in NODE_ORDERS:
-            raise ValueError(f"node_order must be one of {NODE_ORDERS}")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
 
 
 @dataclass
@@ -60,252 +65,107 @@ class MilpSolution:
     gap: float
 
 
-class _ReducedLp:
-    __slots__ = ("c", "A", "senses", "b", "lo", "hi", "_expand")
+class _Search:
+    """Node count, deadline, proven bound and incumbent of one solve."""
 
-    def __init__(self, c, A, senses, b, lo, hi, expand):
-        self.c = c
-        self.A = A
-        self.senses = senses
-        self.b = b
-        self.lo = lo
-        self.hi = hi
-        self._expand = expand
+    def __init__(self, opts: SolverOptions, log):
+        self.opts = opts
+        self.emit = log if log is not None else (lambda line: None)
+        self.start = time.perf_counter()
+        self.nodes = 0
+        self.bound = np.inf
+        self.incumbent = -np.inf
 
-    def expand(self, x_red: np.ndarray) -> np.ndarray:
-        return self._expand(x_red)
+    def exhausted(self) -> bool:
+        limit = self.opts.time_limit
+        return self.nodes >= self.opts.node_limit or (
+            limit is not None and time.perf_counter() - self.start > limit
+        )
+
+    def lp(self, c, A, senses, b, lo, hi) -> LpSolution:
+        sol = solve_dense(c, A, senses, b, lo, hi, feas_tol=self.opts.feas_tol)
+        if sol.status == "unbounded":
+            raise RuntimeError("LP relaxation unbounded: the model is malformed")
+        self.nodes += 1
+        return sol
+
+    def gap(self, objective: float) -> float:
+        if objective == -np.inf:
+            return np.inf
+        return max(0.0, (self.bound - objective) / max(1.0, abs(objective)))
+
+    def log_node(self) -> None:
+        self.emit(f"node={self.nodes} bound={float(self.bound)!r} incumbent={float(self.incumbent)!r} "
+                  f"gap={float(self.gap(self.incumbent))!r}")
+
+    def result(self, x, objective: float, complete: bool) -> MilpSolution:
+        wall = time.perf_counter() - self.start
+        if objective == -np.inf:
+            return MilpSolution(x, -np.inf, "infeasible", self.nodes, wall, np.inf)
+        tol = self.opts.integrality_tol
+        gap = self.gap(objective)
+        if complete or gap <= tol:
+            return MilpSolution(x, float(objective), "optimal", self.nodes, wall, min(gap, tol))
+        return MilpSolution(x, float(objective), "feasible", self.nodes, wall, gap)
 
 
-class _Reducer:
-    """Builds node LPs, collapsing interchangeable slots when the model
-    carries slot structure.
+def _branch_and_bound(search: _Search, c, A, senses, b, lo, hi, tiers,
+                      incumbent: float = -np.inf, publish: bool = False):
+    """Best-bound search over dense LPs; returns ``(x, objective, complete)``.
 
-    Two exact reductions stack on top of each other for planner models:
-    slots whose columns share identical branching bounds collapse to one
-    column block (slot interchangeability), and slots whose illumination
-    pattern is fully decided fold away entirely, substituting ``q = beta * z``
-    into the coupling rows. With ``use_slots=False`` (or no structure) the
-    full dense problem is emitted.
+    ``tiers`` lists the integer columns in groups of falling branching
+    priority: the most fractional column of the first group that has one
+    splits into floor and ceiling children, newest first among equal
+    bounds. Only points better than ``incumbent`` are returned (``x`` is None
+    otherwise). ``complete`` is False when a limit stopped the search. With
+    ``publish`` the objective is the solve's own, so the search's bounds and
+    incumbents feed the node log.
     """
+    tol = search.opts.integrality_tol
+    integer = np.concatenate([np.zeros(0, dtype=np.int64), *tiers])
+    best_x, best = None, incumbent
+    order = itertools.count(1)
+    heap = [(-np.inf, 0, lo, hi)]
+    while heap and -heap[0][0] > best + tol:
+        if search.exhausted():
+            return best_x, best, False
+        _, _, nlo, nhi = heappop(heap)
+        sol = search.lp(c, A, senses, b, nlo, nhi)
+        if sol.status == "optimal":
+            x = sol.values
+            if np.all(np.abs(x[integer] - np.round(x[integer])) <= tol):
+                if sol.objective > best:
+                    best_x = x.copy()
+                    best_x[integer] = np.round(x[integer])
+                    best = sol.objective
+            elif sol.objective > best + tol:
+                for tier in tiers:
+                    frac = np.abs(x[tier] - np.round(x[tier]))
+                    if frac.size and frac.max() > tol:
+                        j = tier[int(np.argmax(frac))]
+                        break
+                down, up = nhi.copy(), nlo.copy()
+                down[j] = np.floor(x[j])
+                up[j] = np.ceil(x[j])
+                heappush(heap, (-sol.objective, -next(order), nlo, down))
+                heappush(heap, (-sol.objective, -next(order), up, nhi))
+        if publish:
+            search.incumbent = max(search.incumbent, best)
+            search.bound = min(search.bound, max(best, -heap[0][0]) if heap else best)
+        search.log_node()
+    return best_x, best, True
 
-    def __init__(self, model: ModelInstance, use_slots: bool = True):
-        self.model = model
-        n = model.num_cols
-        m = model.num_rows
-        indptr, cols, coefs, senses, rhs = model.row_arrays
-        self.entry_row = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
-        self.entry_col = cols
-        self.entry_val = coefs
-        self.senses = senses
-        self.rhs = rhs
 
-        ss = model.slot_structure if use_slots else None
-        self.ss = ss
-        if ss is None:
-            return
-        T = ss.num_slots
-        k = ss.slot_cols.shape[1]
-        r = ss.slot_rows.shape[1]
-        self.T, self.k, self.r = T, k, r
-        self.col_slot = np.full(n, -1, dtype=np.int64)
-        self.col_pos = np.zeros(n, dtype=np.int64)
-        for t in range(T):
-            self.col_slot[ss.slot_cols[t]] = t
-            self.col_pos[ss.slot_cols[t]] = np.arange(k)
-        self.row_slot = np.full(m, -1, dtype=np.int64)
-        self.row_pos = np.zeros(m, dtype=np.int64)
-        for t in range(T):
-            self.row_slot[ss.slot_rows[t]] = t
-            self.row_pos[ss.slot_rows[t]] = np.arange(r)
-        self.static_cols = np.nonzero(self.col_slot < 0)[0]
-        self.static_rows = np.nonzero(self.row_slot < 0)[0]
-        self.static_col_idx = np.full(n, -1, dtype=np.int64)
-        self.static_col_idx[self.static_cols] = np.arange(self.static_cols.size)
-        self.static_row_idx = np.full(m, -1, dtype=np.int64)
-        self.static_row_idx[self.static_rows] = np.arange(self.static_rows.size)
-
-        # Planner layout knowledge enables decided-slot folding: positions
-        # 0..L-1 of a slot block are the z columns, the rest are q columns
-        # ordered like beta.
-        cat = model.catalog
-        self.planner = (
-            isinstance(cat, VariableCatalog)
-            and model.pairs is not None
-            and model.active_clusters_per_slot is not None
-        )
-        if self.planner:
-            L = cat.num_clusters
-            self.n_z = L
-            q_count = k - L
-            self.q_beta_col = np.empty(q_count, dtype=np.int64)
-            self.q_cluster = np.empty(q_count, dtype=np.int64)
-            CU = cat.num_carriers * cat.num_users
-            for p in range(q_count):
-                self.q_beta_col[p] = cat.off_beta + p
-                self.q_cluster[p] = p // CU
-            if np.any(model.objective[ss.slot_cols.ravel()] != 0.0):
-                self.planner = False  # folding assumes slot columns carry no objective
-            self.pair_list = sorted(model.pairs) if model.pairs else []
-            self.n_t_cap = model.active_clusters_per_slot
-
-    def reduce(self, lo: np.ndarray, hi: np.ndarray) -> _ReducedLp | None:
-        """Build the node LP for the given column bounds.
-
-        Returns None when decided illumination patterns already violate the
-        per-slot activation cap or an adjacency exclusion.
-        """
-        model = self.model
-        if self.ss is None:
-            n = model.num_cols
-            m = model.num_rows
-            A = np.zeros((m, n))
-            A[self.entry_row, self.entry_col] = self.entry_val
-            return _ReducedLp(
-                model.objective.copy(), A, list(self.senses), self.rhs.copy(),
-                lo, hi, lambda x: x,
-            )
-
-        ss = self.ss
-        T, k, r = self.T, self.k, self.r
-
-        # Decided-slot folding (planner models): slots with every z fixed by
-        # branching contribute q = beta * z directly to the coupling rows.
-        fold_mult = np.zeros(model.num_cols)  # per q column of decided slots
-        decided = np.zeros(T, dtype=bool)
-        if self.planner:
-            n_z = self.n_z
-            for t in range(T):
-                zc = ss.slot_cols[t, :n_z]
-                if np.all(lo[zc] == hi[zc]):
-                    zfix = lo[zc]
-                    if zfix.sum() > self.n_t_cap + 1e-9:
-                        return None
-                    for (p1, p2) in self.pair_list:
-                        if zfix[p1] + zfix[p2] > 1.0 + 1e-9:
-                            return None
-                    decided[t] = True
-                    qc = ss.slot_cols[t, n_z:]
-                    fold_mult[qc] = zfix[self.q_cluster]
-
-        undecided = np.nonzero(~decided)[0]
-        sig_to_class: dict[bytes, int] = {}
-        class_of = np.full(T, -1, dtype=np.int64)
-        reps = []
-        for t in undecided:
-            cols_t = ss.slot_cols[t]
-            sig = lo[cols_t].tobytes() + hi[cols_t].tobytes()
-            g = sig_to_class.get(sig)
-            if g is None:
-                g = len(reps)
-                sig_to_class[sig] = g
-                reps.append(t)
-            class_of[t] = g
-        G = len(reps)
-        reps_arr = np.asarray(reps, dtype=np.int64) if reps else np.empty(0, dtype=np.int64)
-
-        n_sc = self.static_cols.size
-        n_sr = self.static_rows.size
-        n_red = n_sc + G * k
-        m_red = n_sr + G * r
-
-        er, ec, ev = self.entry_row, self.entry_col, self.entry_val
-        row_slot_e = self.row_slot[er]
-        static_row_e = row_slot_e < 0
-        class_row_e = np.where(static_row_e, -1, class_of[np.maximum(row_slot_e, 0)])
-        rep_row_e = (class_row_e >= 0) & (
-            reps_arr[np.maximum(class_row_e, 0)] == row_slot_e if G else False
-        )
-        include = static_row_e | rep_row_e
-        target_row = np.where(
-            static_row_e,
-            self.static_row_idx[er],
-            n_sr + np.maximum(class_row_e, 0) * r + self.row_pos[er],
-        )
-
-        col_slot_e = self.col_slot[ec]
-        class_col_e = np.where(col_slot_e < 0, -1, class_of[np.maximum(col_slot_e, 0)])
-        target_col = np.where(
-            col_slot_e < 0,
-            self.static_col_idx[ec],
-            n_sc + np.maximum(class_col_e, 0) * k + self.col_pos[ec],
-        )
-        vals = ev
-        if self.planner and decided.any():
-            # Decided-slot q entries retarget onto beta with the fixed z
-            # weight; entries in decided rows were already excluded above.
-            col_decided_e = (col_slot_e >= 0) & decided[np.maximum(col_slot_e, 0)]
-            vals = np.where(col_decided_e, ev * fold_mult[ec], ev)
-            fold_target = self.static_col_idx[self.model_beta_lookup(ec)]
-            target_col = np.where(col_decided_e, fold_target, target_col)
-        keep = include & (vals != 0.0)
-        A = np.zeros((m_red, n_red))
-        np.add.at(A, (target_row[keep], target_col[keep]), vals[keep])
-
-        senses_red = list(self.senses[self.static_rows])
-        b_red = [self.rhs[self.static_rows]]
-        for g in range(G):
-            rows_g = ss.slot_rows[reps_arr[g]]
-            senses_red.extend(self.senses[rows_g])
-            b_red.append(self.rhs[rows_g])
-        b_red = np.concatenate(b_red)
-
-        obj_cols = np.nonzero(model.objective)[0]
-        c_red = np.zeros(n_red)
-        oc_slot = self.col_slot[obj_cols]
-        oc_class = np.where(oc_slot < 0, -1, class_of[np.maximum(oc_slot, 0)])
-        oc_target = np.where(
-            oc_slot < 0,
-            self.static_col_idx[obj_cols],
-            n_sc + np.maximum(oc_class, 0) * k + self.col_pos[obj_cols],
-        )
-        np.add.at(c_red, oc_target, model.objective[obj_cols])
-
-        lo_red = np.empty(n_red)
-        hi_red = np.empty(n_red)
-        lo_red[:n_sc] = lo[self.static_cols]
-        hi_red[:n_sc] = hi[self.static_cols]
-        for g in range(G):
-            cols_g = ss.slot_cols[reps_arr[g]]
-            lo_red[n_sc + g * k:n_sc + (g + 1) * k] = lo[cols_g]
-            hi_red[n_sc + g * k:n_sc + (g + 1) * k] = hi[cols_g]
-
-        static_cols = self.static_cols
-        static_col_idx = self.static_col_idx
-        slot_cols = ss.slot_cols
-        n_full = model.num_cols
-        planner = self.planner
-        n_z = self.n_z if planner else 0
-        q_beta_col = self.q_beta_col if planner else None
-        q_cluster = self.q_cluster if planner else None
-        lo_snapshot = lo.copy()
-
-        def expand(x_red: np.ndarray) -> np.ndarray:
-            x = np.empty(n_full)
-            x[static_cols] = x_red[:n_sc]
-            for t in range(T):
-                g = class_of[t]
-                if g >= 0:
-                    x[slot_cols[t]] = x_red[n_sc + g * k:n_sc + (g + 1) * k]
-                else:
-                    zc = slot_cols[t, :n_z]
-                    zfix = lo_snapshot[zc]
-                    x[zc] = zfix
-                    beta_vals = x_red[static_col_idx[q_beta_col]]
-                    x[slot_cols[t, n_z:]] = beta_vals * zfix[q_cluster]
-            return x
-
-        return _ReducedLp(c_red, A, senses_red, b_red, lo_red, hi_red, expand)
-
-    def model_beta_lookup(self, cols: np.ndarray) -> np.ndarray:
-        """Map q column ids to their beta column ids (planner layout)."""
-        cat = self.model.catalog
-        rel = np.maximum(cols - cat.off_q, 0)
-        return cat.off_beta + rel // cat.num_slots
+def _dense(model: ModelInstance):
+    indptr, cols, coefs, senses, rhs = model.row_arrays
+    A = np.zeros((model.num_rows, model.num_cols))
+    A[np.repeat(np.arange(model.num_rows), np.diff(indptr)), cols] = coefs
+    return A, list(senses), rhs
 
 
 def solve_lp(model: ModelInstance, fixings: dict[int, tuple[float, float]] | None = None) -> LpSolution:
-    """Solve the model's LP relaxation (binaries relaxed to [0,1]) without the
-    slot collapse. ``fixings`` narrows column bounds, e.g. ``{j: (1.0, 1.0)}``."""
+    """Solve the model's LP relaxation (binaries relaxed to [0,1]).
+    ``fixings`` narrows column bounds, e.g. ``{j: (1.0, 1.0)}``."""
     lo = model.lower.copy()
     hi = model.upper.copy()
     if fixings:
@@ -314,382 +174,336 @@ def solve_lp(model: ModelInstance, fixings: dict[int, tuple[float, float]] | Non
                 raise ValueError(f"fixing for column {j} has lo > hi")
             lo[j] = max(lo[j], l)
             hi[j] = min(hi[j], h)
-    red = _Reducer(model, use_slots=False).reduce(lo, hi)
-    return solve_dense(red.c, red.A, red.senses, red.b, red.lo, red.hi)
+    A, senses, b = _dense(model)
+    return solve_dense(model.objective, A, senses, b, lo, hi)
 
 
-def _maximal_cliques(num_vertices: int, edges) -> list[tuple[int, ...]]:
-    """Maximal cliques of a small graph, sorted for determinism."""
-    adj = [set() for _ in range(num_vertices)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    cliques: list[tuple[int, ...]] = []
-
-    def extend(r: set, p: set, x: set):
-        if not p and not x:
-            cliques.append(tuple(sorted(r)))
-            return
-        for v in sorted(p):
-            extend(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    extend(set(), set(range(num_vertices)), set())
-    return sorted(c for c in cliques if len(c) >= 2)
-
-
-def _augment_for_search(model: ModelInstance) -> ModelInstance:
-    """Build the solver's internal copy of a planner model.
-
-    Four exact, bound-preserving rewrites tighten and shrink the node LPs:
-
-    - add per-(carrier, slot) capacity rows ``sum_u q <= z``, which every
-      integral illumination pattern satisfies (z=1 makes them the carrier
-      fill budget, z=0 forces q=0), so no integer point is cut;
-    - replace the pairwise non-adjacency rows with maximal-clique rows
-      ``sum_{l in K} z <= 1``: every slot illuminates an independent set of
-      the adjacency graph, so at most one member of any clique is active;
-    - drop the product-envelope rows that duplicate the column bounds
-      (``q >= 0``) or follow from the capacity rows (``q <= z``);
-    - drop <=-rows that the variable bounds already satisfy at their maximum
-      (the carrier-count caps when delta_max equals the carrier count).
-
-    The published model is untouched; exports, audits, and constraint counts
-    all work off the unaugmented instance.
-    """
-    cat = model.catalog
-    if not isinstance(cat, VariableCatalog) or model.slot_structure is None:
-        return model
-    L, C, U, T = cat.num_clusters, cat.num_carriers, cat.num_users, cat.num_slots
-
-    cliques = _maximal_cliques(L, model.pairs or ())
-    in_large_clique = set()
-    for clique in cliques:
-        if len(clique) >= 3:
-            for a in clique:
-                for b in clique:
-                    if a < b:
-                        in_large_clique.add((a, b))
-
-    lo, hi = model.lower, model.upper
-    drop = np.zeros(model.num_rows, dtype=bool)
-    c6_membership = {}
-    if model.pairs:
-        for (a, b) in sorted(model.pairs):
-            for t in range(T):
-                c6_membership[f"C6_l{a + 1}_l{b + 1}_t{t + 1}"] = (a, b)
-    for i, row in enumerate(model.constraints):
-        tag = row.tag
-        # C9a duplicates the q lower bound and C9b follows from the capacity
-        # rows. C9d only forces q upward; since q carries no objective weight
-        # and enters supply floors positively, raising it is always free, so
-        # node LP values are unchanged without it (incumbents later restore
-        # q = beta * z exactly).
-        if tag.startswith("C9a_") or tag.startswith("C9b_") or tag.startswith("C9d_"):
-            drop[i] = True
-        elif tag.startswith("C6_") and c6_membership.get(tag) in in_large_clique:
-            drop[i] = True
-        elif row.sense == LESS:
-            worst = 0.0
-            for col, coef in zip(row.cols, row.coefs):
-                worst += coef * (hi[col] if coef > 0 else lo[col])
-                if not np.isfinite(worst):
-                    break
-            if np.isfinite(worst) and worst <= row.rhs + 1e-12:
-                drop[i] = True
-    keep_map = np.cumsum(~drop) - 1
-    rows = [row for i, row in enumerate(model.constraints) if not drop[i]]
-
-    extra_by_slot: list[list[int]] = [[] for _ in range(T)]
-    for clique in cliques:
-        if len(clique) < 3:
-            continue
-        for t in range(T):
-            cols = tuple(cat.z_col(l, t) for l in clique)
-            extra_by_slot[t].append(len(rows))
-            name = "_".join(f"l{l + 1}" for l in clique)
-            rows.append(
-                LinearConstraint(cols, (1.0,) * len(clique), LESS, 1.0, f"CLIQ_{name}_t{t + 1}")
-            )
-    for l in range(L):
-        for c in range(C):
-            for t in range(T):
-                cols = tuple(cat.q_col(l, c, u, t) for u in range(U)) + (cat.z_col(l, t),)
-                coefs = (1.0,) * U + (-1.0,)
-                extra_by_slot[t].append(len(rows))
-                rows.append(
-                    LinearConstraint(cols, coefs, LESS, 0.0, f"CAPq_l{l + 1}_c{c + 1}_t{t + 1}")
-                )
-
-    ss = model.slot_structure
-    slot_rows = []
-    for t in range(T):
-        kept = [int(keep_map[r]) for r in ss.slot_rows[t] if not drop[r]]
-        slot_rows.append(kept + extra_by_slot[t])
-    slot_rows = np.asarray(slot_rows, dtype=np.int64)
-    return ModelInstance(
-        catalog=cat,
-        constraints=tuple(rows),
-        objective=model.objective,
-        lower=model.lower,
-        upper=model.upper,
-        binary=model.binary,
-        epsilon_fill=model.epsilon_fill,
-        epsilon_tiebreak=model.epsilon_tiebreak,
-        big_m=model.big_m,
-        slot_structure=SlotStructure(num_slots=T, slot_cols=ss.slot_cols, slot_rows=slot_rows),
-        rate_per_slot=model.rate_per_slot,
-        demand=model.demand,
-        pairs=model.pairs,
-        active_clusters_per_slot=model.active_clusters_per_slot,
-        delta_max=model.delta_max,
+def branch_and_bound(model: ModelInstance, options: SolverOptions | None = None, log=None) -> MilpSolution:
+    """Plain branch-and-bound over the model's binaries on its full dense LP."""
+    search = _Search(options or SolverOptions(), log)
+    A, senses, b = _dense(model)
+    x, _, complete = _branch_and_bound(
+        search, model.objective, A, senses, b, model.lower.copy(), model.upper.copy(),
+        [np.nonzero(model.binary)[0]], publish=True,
     )
-
-
-def _pick_branch_var(x: np.ndarray, pool: np.ndarray, rule: str, tol: float) -> int:
-    if pool.size == 0:
-        return -1
-    frac = np.abs(x[pool] - np.round(x[pool]))
-    if rule == "lowest_index":
-        idx = np.nonzero(frac > tol)[0]
-        return int(pool[idx[0]]) if idx.size else -1
-    j = int(np.argmax(frac))
-    return int(pool[j]) if frac[j] > tol else -1
+    if x is None:
+        return search.result(np.zeros(model.num_cols), -np.inf, complete)
+    return search.result(x, float(model.objective @ x), complete)
 
 
 def solve_milp(model: ModelInstance, options: SolverOptions | None = None, log=None) -> MilpSolution:
-    """Branch-and-bound over the model's binaries.
+    """Solve a model exactly: planner models by slot counts, others by
+    ``branch_and_bound``.
 
-    The incumbent objective never decreases; the search returns ``optimal``
-    once the best open bound is within ``integrality_tol`` of the incumbent.
-    Hitting a node or time limit returns ``feasible`` with the best incumbent
-    and a positive gap (a final dive guarantees an incumbent exists for any
-    feasible model). Deterministic for fixed options and ``worker_count=1``.
+    Hitting the node or time limit returns the best valid plan found (for a
+    planner model at least one built before the first LP) with status
+    ``feasible`` and the gap to a proven upper bound. The logged incumbent
+    never decreases. Deterministic for fixed options.
     """
-    opts = options or SolverOptions()
-    t_start = time.perf_counter()
-    search_model = _augment_for_search(model)
-    reducer = _Reducer(search_model)
-    binary_cols = np.nonzero(model.binary)[0]
-    tol = opts.integrality_tol
-    n = model.num_cols
-    emit = log if log is not None else (lambda line: None)
-
-    # Branch illumination binaries first: assignment binaries carry no
-    # objective weight, so once every z is integral the assignments round
-    # exactly (a=1 where the fill-rate clears the activation floor, largest
-    # fills first under the carrier cap) and a polish LP finishes the node.
     cat = model.catalog
-    planner = isinstance(cat, VariableCatalog) and model.rate_per_slot is not None
-    if planner:
-        z_pool = np.arange(cat.off_z, cat.off_tu, dtype=np.int64)
-        a_pool = np.arange(cat.off_a, cat.off_beta, dtype=np.int64)
+    if isinstance(cat, VariableCatalog) and model.rate_per_slot is not None:
+        counts = _JointCounts(model, fills=model.delta_max < cat.num_carriers)
+    elif isinstance(cat, BaselineCatalog):
+        counts = _BhCounts(model)
     else:
-        z_pool = binary_cols
-        a_pool = np.empty(0, dtype=np.int64)
+        return branch_and_bound(model, options, log)
+    search = _Search(options or SolverOptions(), log)
+    x, complete = _solve_counts(model, counts, search)
+    if counts.floor_missed:
+        # A relaxed fill fell strictly inside (0, epsilon_fill): solve again
+        # with the assignment binaries and the fill floor in the count model.
+        x, complete = _solve_counts(model, _JointCounts(model, fills=True), search)
+    return search.result(x, float(model.objective @ x), complete)
 
-    def canonical(x):
-        """Snap binaries to exact integers and restore q = beta * z.
 
-        Supplies can only grow (q rises to the product), so feasibility of
-        the supply floors is preserved and every stored incumbent satisfies
-        the product envelope exactly.
-        """
-        x = x.copy()
-        x[binary_cols] = np.round(x[binary_cols])
-        if planner:
-            L, C, U, T = cat.num_clusters, cat.num_carriers, cat.num_users, cat.num_slots
-            beta = x[cat.off_beta:cat.off_q].reshape(L, C, U)
-            z = x[cat.off_z:cat.off_tu].reshape(L, T)
-            x[cat.off_q:cat.off_z] = (beta[:, :, :, None] * z[:, None, None, :]).ravel()
-        return x
+def _patterns(num_clusters: int, cap: int, pairs) -> np.ndarray:
+    """Cluster-by-pattern incidence of the non-empty independent sets of at
+    most ``cap`` clusters."""
+    sets = [
+        s for k in range(1, cap + 1) for s in itertools.combinations(range(num_clusters), k)
+        if not any(p in pairs for p in itertools.combinations(s, 2))
+    ]
+    M = np.zeros((num_clusters, len(sets)))
+    for p, s in enumerate(sets):
+        M[list(s), p] = 1.0
+    return M
 
-    def round_assignments(x):
-        fixed = {}
-        if not planner:
-            for j in binary_cols:
-                fixed[int(j)] = (float(np.round(x[j])), float(np.round(x[j])))
-            return fixed
-        L, C, U = cat.num_clusters, cat.num_carriers, cat.num_users
-        beta = x[cat.off_beta:cat.off_q].reshape(L, C, U)
-        for l in range(L):
-            for u in range(U):
-                fills = [(-beta[l, c, u], c) for c in range(C) if beta[l, c, u] >= model.epsilon_fill]
-                chosen = {c for _, c in sorted(fills)[: model.delta_max]}
-                for c in range(C):
-                    v = 1.0 if c in chosen else 0.0
-                    fixed[cat.a_col(l, c, u)] = (v, v)
-        for j in z_pool:
-            v = float(np.round(x[j]))
-            fixed[int(j)] = (v, v)
-        return fixed
 
-    def node_lp(overrides):
-        lo = model.lower.copy()
-        hi = model.upper.copy()
-        for j, (l, h) in overrides.items():
-            lo[j] = l
-            hi[j] = h
-        red = reducer.reduce(lo, hi)
-        if red is None:
-            return None
-        sol = solve_dense(red.c, red.A, red.senses, red.b, red.lo, red.hi, feas_tol=opts.feas_tol)
-        if sol.status == "unbounded":
-            raise RuntimeError("LP relaxation unbounded: the model is malformed")
-        if sol.status != "optimal":
-            return None
-        return sol.objective, red.expand(sol.values)
+def _schedule(M: np.ndarray, y: np.ndarray, num_slots: int) -> np.ndarray:
+    """Illumination grid ``z`` (L, T): pattern ``p`` fills ``y[p]`` consecutive slots."""
+    z = np.zeros((M.shape[0], num_slots))
+    t = 0
+    for p, k in enumerate(np.round(y).astype(int)):
+        z[:, t:t + k] = M[:, p:p + 1]
+        t += k
+    return z
 
-    best_x: np.ndarray | None = None
-    best_obj = -np.inf
-    nodes = 0
-    push_id = itertools.count()
 
-    # Open nodes: best_bound uses a max-heap on the parent bound estimate;
-    # depth_first uses a stack. Children are pushed down-then-up so the
-    # up-branch is explored first. The search always starts with a LIFO dive
-    # until the first incumbent exists, then switches to the requested order.
-    open_nodes: list = []
-    state = {"diving": True}
-    want_heap = opts.node_order == "best_bound"
+def _ratio_model(g, M, num_slots, lb, eps):
+    """Dense model over columns ``n | y | theta``: at most ``num_slots``
+    patterns, ``n = M y >= lb`` and ``theta <= g_l n_l``; the objective is
+    ``theta + eps * g . n``. It is the baseline count model, and with
+    ``eps = 0`` the theta bound and the packing checks of the joint one."""
+    L, P = M.shape
+    c = np.concatenate([eps * g, np.zeros(P), [1.0]])
+    A = np.zeros((1 + 2 * L, L + P + 1))
+    A[0, L:L + P] = 1.0
+    A[1:L + 1, :L] = np.eye(L)
+    A[1:L + 1, L:L + P] = -M
+    A[L + 1:, :L] = -np.diag(g)
+    A[L + 1:, -1] = 1.0
+    senses = ["<="] + ["="] * L + ["<="] * L
+    b = np.append(float(num_slots), np.zeros(2 * L))
+    lo = np.concatenate([lb, np.zeros(P + 1)])
+    hi = np.append(np.full(L + P, float(num_slots)), np.inf)
+    return c, A, senses, b, lo, hi, [np.arange(L), L + np.arange(P)]
 
-    def heap_active():
-        return want_heap and not state["diving"]
 
-    def push(est, overrides):
-        item = (-est, next(push_id), est, overrides)
-        if heap_active():
-            heappush(open_nodes, item)
+def _solve_counts(model: ModelInstance, counts, search: _Search):
+    """Steps 2-5 of the count route; returns ``(x, complete)``."""
+    M, T = counts.M, counts.T
+    L, P = M.shape
+    best_x, best = None, -np.inf
+
+    def take(x):
+        nonlocal best_x, best
+        obj = float(model.objective @ x)
+        if obj > best:
+            best_x, best = x, obj
+        search.incumbent = max(search.incumbent, best)
+
+    # A valid plan before any LP: the singleton patterns (the first L) take
+    # turns over the slots.
+    take(counts.plan(np.append([len(range(l, T, L)) for l in range(L)], np.zeros(P - L))))
+    g = counts.slot_values(search)
+    if g is None:
+        return best_x, False
+    eps_b = model.epsilon_tiebreak * counts.tiebreak_bound(g)
+    search.bound = min(search.bound, T * float(g.min()) + eps_b)
+
+    # Upper bound on theta*: the packing with fractional pattern counts.
+    c, A, senses, b, lo, hi, _ = _ratio_model(g, M, T, np.zeros(L), 0.0)
+    _, theta_lp, complete = _branch_and_bound(search, c, A, senses, b, lo, hi, ())
+    if not complete:
+        return best_x, False
+    search.bound = min(search.bound, theta_lp + eps_b)
+
+    def packing(theta):
+        """Integer pattern counts reaching ``theta``: ``(y, complete)``. Only
+        candidates below ``theta_lp`` are checked, so every ``g_l`` is positive."""
+        c, A, senses, b, lo, hi, tiers = _ratio_model(g, M, T, np.ceil(theta / g - 1e-9), 0.0)
+        hi[-1] = 0.0   # a feasibility check: nothing to maximise
+        v, _, complete = _branch_and_bound(search, c, A, senses, b, lo, hi, tiers)
+        return (None if v is None else v[L:L + P]), complete
+
+    # Search the candidates k * g_l: the top one first, then bisection.
+    cands = np.unique(np.outer(g, np.arange(1, T + 1)))
+    cands = cands[(cands > 0) & (cands <= theta_lp * (1 + 1e-9))]
+    low, high = -1, cands.size   # cands[low] is packable (-1: theta 0), cands[high] is not
+    probe = high - 1
+    while high - low > 1:
+        y, complete = packing(cands[probe])
+        if not complete:
+            return best_x, False
+        if y is None:
+            high = probe
+            search.bound = min(search.bound, cands[probe] + eps_b)
         else:
-            open_nodes.append(item)
+            low = probe
+            take(counts.plan(y))
+        probe = (low + high) // 2
+    theta_star = cands[low] if low >= 0 else 0.0
+    search.bound = min(search.bound, theta_star + eps_b)
 
-    def pop():
-        return heappop(open_nodes) if heap_active() else open_nodes.pop()
+    # Tie-break: counts below ``lb`` leave theta under theta* - eps * B, where
+    # no tie-break term can make up the difference; and no packing lifts
+    # theta above theta*.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lb = np.where(g > 0, np.maximum(np.ceil((theta_star - eps_b) / g - 1e-9), 0.0), 0.0)
+    c, A, senses, b, lo, hi, tiers = counts.count_model(lb)
+    hi[-1] = theta_star
+    v, _, complete = _branch_and_bound(search, c, A, senses, b, lo, hi, tiers,
+                                       incumbent=best, publish=True)
+    if v is not None:
+        x = counts.expand(v)
+        if x is not None:
+            take(x)
+    return best_x, complete
 
-    def end_dive():
-        if state["diving"]:
-            state["diving"] = False
-            if want_heap:
-                open_nodes.sort()
 
-    def open_bound():
-        if not open_nodes:
-            return -np.inf
-        if heap_active():
-            return open_nodes[0][2]
-        return max(item[2] for item in open_nodes)
+class _BhCounts:
+    """Count view of the baseline stage-1 model: a fixed ratio per slot and
+    no fill block."""
 
-    def rel_gap(bound):
-        if best_obj == -np.inf:
-            return np.inf
-        return max(0.0, (bound - best_obj) / max(1.0, abs(best_obj)))
+    floor_missed = False
 
-    pool = ThreadPoolExecutor(opts.worker_count) if opts.worker_count > 1 else None
-    limit_hit = False
-    try:
-        push(np.inf, {})
-        while open_nodes:
-            if nodes >= opts.node_limit:
-                limit_hit = True
-                break
-            if opts.time_limit is not None and time.perf_counter() - t_start > opts.time_limit:
-                limit_hit = True
-                break
-            if best_x is not None and open_bound() <= best_obj + tol:
-                break
+    def __init__(self, model: ModelInstance):
+        self.T = model.catalog.num_slots
+        self.ratio = model.rate_per_slot / model.demand
+        self.eps = model.epsilon_tiebreak
+        self.M = _patterns(model.catalog.num_clusters, model.active_clusters_per_slot, model.pairs)
 
-            batch = []
-            while open_nodes and len(batch) < opts.worker_count and nodes + len(batch) < opts.node_limit + 1:
-                batch.append(pop())
-            if pool is not None and len(batch) > 1:
-                results = list(pool.map(lambda it: node_lp(it[3]), batch))
-            else:
-                results = [node_lp(it[3]) for it in batch]
+    def slot_values(self, search):
+        return self.ratio
 
-            for (_, _, est, overrides), result in zip(batch, results):
-                nodes += 1
-                if result is None:
-                    emit(f"node={nodes} bound={best_obj!r} incumbent={best_obj!r} gap={rel_gap(best_obj)!r}")
-                    continue
-                obj, x = result
-                if best_x is not None and obj <= best_obj + tol:
-                    emit(f"node={nodes} bound={obj!r} incumbent={best_obj!r} gap={rel_gap(max(obj, best_obj))!r}")
-                    continue
-                j = _pick_branch_var(x, z_pool, opts.branch_rule, tol)
-                if j < 0:
-                    # Illumination integral: round the assignments, re-solve
-                    # the continuous block exactly, and take the incumbent.
-                    fixed = dict(overrides)
-                    fixed.update(round_assignments(x))
-                    polished = node_lp(fixed)
-                    if polished is not None and polished[0] > best_obj:
-                        best_obj, best_x = polished[0], canonical(polished[1])
-                        end_dive()
-                    if polished is not None and polished[0] >= obj - tol:
-                        emit(f"node={nodes} bound={obj!r} incumbent={best_obj!r} gap={rel_gap(max(open_bound(), obj))!r}")
-                        continue
-                    j = _pick_branch_var(x, a_pool, opts.branch_rule, tol)
-                    if j < 0:
-                        if polished is None and obj > best_obj:
-                            # Fully integral relaxation point.
-                            best_obj, best_x = obj, canonical(x)
-                            end_dive()
-                        emit(f"node={nodes} bound={obj!r} incumbent={best_obj!r} gap={rel_gap(max(open_bound(), obj))!r}")
-                        continue
-                down = dict(overrides)
-                down[j] = (0.0, 0.0)
-                up = dict(overrides)
-                up[j] = (1.0, 1.0)
-                push(obj, down)
-                push(obj, up)
-                emit(f"node={nodes} bound={obj!r} incumbent={best_obj!r} gap={rel_gap(max(open_bound(), obj))!r}")
+    def tiebreak_bound(self, g):
+        return self.T * float(g.sum())
 
-        if limit_hit and best_x is None:
-            # Never truncate silently: dive up-first until some incumbent exists.
-            extra = 0
-            while open_nodes and best_x is None and extra <= 4 * binary_cols.size + 8:
-                _, _, est, overrides = pop()
-                result = node_lp(overrides)
-                nodes += 1
-                extra += 1
-                if result is None:
-                    continue
-                obj, x = result
-                j = _pick_branch_var(x, z_pool, opts.branch_rule, tol)
-                if j < 0:
-                    fixed = dict(overrides)
-                    fixed.update(round_assignments(x))
-                    polished = node_lp(fixed)
-                    if polished is not None:
-                        best_obj, best_x = polished[0], canonical(polished[1])
-                        break
-                    j = _pick_branch_var(x, a_pool, opts.branch_rule, tol)
-                    if j < 0:
-                        best_obj, best_x = obj, canonical(x)
-                        break
-                up = dict(overrides)
-                up[j] = (1.0, 1.0)
-                push(obj, up)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    def count_model(self, lb):
+        return _ratio_model(self.ratio, self.M, self.T, lb, self.eps)
 
-    wall = time.perf_counter() - t_start
-    if best_x is None:
-        return MilpSolution(
-            values=np.zeros(n), objective=-np.inf, status="infeasible",
-            nodes_explored=nodes, wall_time=wall, gap=np.inf,
-        )
-    bound = max(best_obj, open_bound()) if open_nodes else best_obj
-    gap = rel_gap(bound)
-    status = "feasible" if (limit_hit and gap > tol) else "optimal"
-    if status == "optimal":
-        gap = min(gap, tol)
-    return MilpSolution(
-        values=best_x, objective=float(best_obj), status=status,
-        nodes_explored=nodes, wall_time=wall, gap=float(gap),
-    )
+    def plan(self, y):
+        z = _schedule(self.M, y, self.T)
+        theta = float((self.ratio[:, None] * z).sum(axis=1).min())
+        return np.append(z.ravel(), theta)
+
+    def expand(self, v):
+        L, P = self.M.shape
+        return self.plan(v[L:L + P])
+
+
+class _JointCounts:
+    """Count view of the joint model: a cluster's fills, supplies and ratio
+    floors scale with its slot count ``n_l``.
+
+    With ``fills`` the count model carries the assignment binaries ``a`` and
+    the fill floor; without, fills are continuous in [0, n_l] and a fill that
+    lands strictly inside (0, epsilon_fill) sets ``floor_missed``.
+    """
+
+    def __init__(self, model: ModelInstance, fills: bool):
+        cat = model.catalog
+        self.model = model
+        self.fills = fills
+        self.floor_missed = False
+        self.L, self.C, self.U, self.T = cat.num_clusters, cat.num_carriers, cat.num_users, cat.num_slots
+        demand = model.demand
+        self.user_coef = model.rate_per_slot / demand[:, None, :]                    # C4
+        self.cluster_coef = model.rate_per_slot / demand.sum(axis=1)[:, None, None]  # C5
+        self.M = _patterns(self.L, model.active_clusters_per_slot, model.pairs)
+        self.k = self.L * self.C * self.U
+        # Even fills on delta_max carriers per user, until ``slot_values``
+        # finds the best ones.
+        spread = (np.subtract.outer(np.arange(self.C), np.arange(self.U)) % self.C) < model.delta_max
+        self.beta_one_slot = np.broadcast_to(spread / self.U, (self.L, self.C, self.U))
+
+    def _offsets(self, P):
+        """First columns of ``w`` and ``tU`` for ``P`` patterns."""
+        ow = self.L + P
+        return ow, ow + self.k * (2 if self.fills else 1)
+
+    def _lp(self, M, n_lo, n_hi, slots, weights):
+        """Dense count model over columns ``n | y | w | [a] | tU | tL | theta``.
+
+        ``n = M y`` and ``w[l,c,u] = beta * n_l``; ``n_hi`` caps every count
+        and ``weights`` are the objective weights of ``(tU, tL, theta)``.
+        """
+        L, C, U, k = self.L, self.C, self.U, self.k
+        P = M.shape[1]
+        ow, ou = self._offsets(P)
+        otl = ou + L
+        oth = otl + 1
+        n = oth + 1
+        ys = L + np.arange(P)
+        w = ow + np.arange(k).reshape(L, C, U)
+        a = ow + k + np.arange(k).reshape(L, C, U)
+        rows, senses, b = [], [], []
+
+        def row(cols, coefs, sense, rhs):
+            r = np.zeros(n)
+            np.add.at(r, np.asarray(cols).ravel(), np.broadcast_to(coefs, np.shape(cols)).ravel())
+            rows.append(r)
+            senses.append(sense)
+            b.append(rhs)
+
+        row(ys, 1.0, "<=", slots)
+        for l in range(L):                                      # n = M y
+            row(np.append(l, ys), np.append(1.0, -M[l]), "=", 0.0)
+        for l in range(L):
+            for c in range(C):                                  # C2: fills within n_l
+                row(np.append(w[l, c], l), np.append(np.ones(U), -1.0), "<=", 0.0)
+        for l in range(L):
+            for u in range(U):                                  # C4
+                row(np.append(w[l, :, u], ou + l), np.append(self.user_coef[l, :, u], -1.0), ">=", 0.0)
+        for l in range(L):                                      # C5
+            row(np.append(w[l].ravel(), otl), np.append(self.cluster_coef[l].ravel(), -1.0), ">=", 0.0)
+        for l in range(L):                                      # C8
+            row([oth, ou + l], [1.0, -1.0], "<=", 0.0)
+        row([oth, otl], [1.0, -1.0], "<=", 0.0)
+        if self.fills:
+            eps = self.model.epsilon_fill
+            for l in range(L):
+                for u in range(U):                              # C1
+                    row(a[l, :, u], 1.0, "<=", float(self.model.delta_max))
+            for l, c, u in np.ndindex(L, C, U):                 # C7: w <= n_hi a, w >= eps n a
+                row([w[l, c, u], a[l, c, u]], [1.0, -n_hi], "<=", 0.0)
+                row([w[l, c, u], l, a[l, c, u]], [1.0, -eps, -eps * n_hi], ">=", -eps * n_hi)
+        c = np.zeros(n)
+        c[ou:otl], c[otl], c[oth] = weights
+        lo = np.zeros(n)
+        hi = np.full(n, np.inf)
+        lo[:L], hi[:L] = n_lo, n_hi
+        hi[ys] = slots
+        hi[ow:ow + k] = n_hi
+        hi[ow + k:ou] = 1.0
+        tiers = [np.arange(L), a.ravel(), ys] if self.fills else [np.arange(L), ys]
+        return c, np.array(rows), senses, np.array(b), lo, hi, tiers
+
+    def slot_values(self, search):
+        """``g_l`` for every cluster from one block-separable LP (or MILP in
+        ``a``) with every cluster lit for exactly one slot."""
+        L = self.L
+        c, A, senses, b, lo, hi, tiers = self._lp(np.eye(L), 1.0, 1.0, float(L), (1.0, 0.0, 0.0))
+        v, _, complete = _branch_and_bound(search, c, A, senses, b, lo, hi, tiers)
+        if not complete:
+            return None
+        ow, ou = self._offsets(L)
+        beta = v[ow:ow + self.k].reshape(L, self.C, self.U)
+        self.beta_one_slot = np.where(beta >= self.model.epsilon_fill, beta, 0.0)
+        return v[ou:ou + L]
+
+    def tiebreak_bound(self, g):
+        # tU_l <= T g_l, and tL is at most any cluster's best cluster ratio.
+        return self.T * (float(g.sum()) + float(self.cluster_coef.max(axis=2).sum(axis=1).min()))
+
+    def count_model(self, lb):
+        eps = self.model.epsilon_tiebreak
+        return self._lp(self.M, lb, float(self.T), float(self.T), (eps, eps, 1.0))
+
+    def plan(self, y):
+        """Full point for a packing, with every cluster's one-slot fills."""
+        return self._point(_schedule(self.M, y, self.T), self.beta_one_slot)
+
+    def expand(self, v):
+        L, P = self.M.shape
+        n = v[:L]
+        ow, _ = self._offsets(P)
+        w = v[ow:ow + self.k].reshape(L, self.C, self.U)
+        beta = np.divide(w, n[:, None, None], out=np.zeros_like(w), where=n[:, None, None] > 0)
+        beta[beta < self.model.epsilon_fill * 1e-2] = 0.0   # LP round-off of a zero fill
+        if not self.fills and np.any((beta > 0) & (beta < self.model.epsilon_fill)):
+            self.floor_missed = True
+            return None
+        return self._point(_schedule(self.M, v[L:L + P], self.T), beta)
+
+    def _point(self, z, beta):
+        """Full column vector: ``a`` marks the nonzero fills of lit clusters,
+        ``q = beta * z``, and the ratio floors are the realised minima."""
+        model, cat = self.model, self.model.catalog
+        beta = beta * (z.sum(axis=1) > 0)[:, None, None]
+        q = beta[:, :, :, None] * z[:, None, None, :]
+        x = np.zeros(model.num_cols)
+        x[cat.off_a:cat.off_beta] = (beta > 0).ravel()
+        x[cat.off_beta:cat.off_q] = beta.ravel()
+        x[cat.off_q:cat.off_z] = q.ravel()
+        x[cat.off_z:cat.off_tu] = z.ravel()
+        served = q.sum(axis=3)
+        t_user = np.einsum("lcu,lcu->lu", served, self.user_coef).min(axis=1)
+        t_cluster = float(np.einsum("lcu,lcu->l", served, self.cluster_coef).min())
+        x[cat.off_tu:cat.off_tl] = t_user
+        x[cat.tl_col] = t_cluster
+        x[cat.theta_col] = min(float(t_user.min()), t_cluster)
+        return x
 
 
 MAX_ORACLE_BINARIES = 24

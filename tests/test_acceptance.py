@@ -2,6 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines live.
 """
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -9,22 +10,22 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bhca.baseline import solve_bh
+from bhca.baseline import build_bh_model, solve_bh
 from bhca.cli import RunManifest, run
 from bhca.linkbudget import compute_rate_table
 from bhca.lp_format import export_lp, parse_lp, round_trip_matches
 from bhca.metrics import build_report, jain_index
 from bhca.model import build_model, decode_plan, validate_solution
 from bhca.scenario import adjacency_pairs, generate_scenario
-from bhca.solver import SolverOptions, brute_force, solve_milp
+from bhca.solver import SolverOptions, branch_and_bound, brute_force, solve_milp
 
 from conftest import desk_config, make_bundle, tiny_config
 
 TINY_SEEDS = tuple(range(1, 21))
 DESK_SEEDS = tuple(range(1, 31))
 
-# Node budgets for the desk batch: enough for a full dive to a rounded
-# incumbent plus some best-bound improvement, deterministic by construction.
+# Node budgets for the desk batch (one node is one LP). The count route
+# proves both schemes optimal well inside them.
 DESK_BHCA_NODES = 12
 DESK_BH_NODES = 300
 
@@ -100,6 +101,33 @@ def test_criterion_1_oracle_equivalence(tiny_batch):
         c.milp.status == "optimal" and c.oracle.status == "optimal" for c in cases
     )
     _report(1, ok, f"20 instances, max |milp-oracle| = {worst:.2e}, batch {elapsed:.1f}s < 60s")
+
+
+def test_independent_routes_agree_on_tiny(tiny_batch, modcod):
+    # Count route, plain branch-and-bound on the published model, and
+    # enumeration, for both schemes. The baseline stage-1 model is
+    # enumerated over every illumination grid directly.
+    cases, _ = tiny_batch
+    for c in cases:
+        bnb = branch_and_bound(c.model)
+        assert bnb.status == "optimal"
+        assert bnb.objective == pytest.approx(c.oracle.objective, abs=1e-6)
+        assert c.milp.objective == pytest.approx(c.oracle.objective, abs=1e-6)
+
+        scenario, rates, pairs, _ = make_bundle(tiny_config(c.seed), modcod)
+        bh_model = build_bh_model(scenario, rates, pairs)
+        route, bh_bnb = solve_milp(bh_model), branch_and_bound(bh_model)
+        assert route.status == bh_bnb.status == "optimal"
+        grids = (np.array(g, dtype=float) for g in
+                 itertools.product((0.0, 1.0), repeat=bh_model.catalog.theta_col))
+        best = -np.inf
+        for z in grids:
+            x = np.append(z, 0.0)
+            x[-1] = min(bh_model.row_values(x)[:bh_model.catalog.num_clusters])
+            if validate_solution(bh_model, x).empty:
+                best = max(best, float(bh_model.objective @ x))
+        assert route.objective == pytest.approx(best, abs=1e-6)
+        assert bh_bnb.objective == pytest.approx(best, abs=1e-6)
 
 
 def test_criterion_2_linearization_suite(tiny_batch, desk_batch):

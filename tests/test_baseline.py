@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bhca.baseline import (
-    build_bh_model,
     cluster_slot_capacity,
     distribute_slots,
     solve_bh,
@@ -123,12 +122,3 @@ def test_stage1_matches_z_enumeration_on_eight_clusters(modcod):
     want = _enumerate_best_min_ratio(scenario, rates, pairs)
     assert plan.min_cluster_ratio == pytest.approx(want, abs=1e-6)
 
-
-def test_stage1_model_has_clique_strengthenings(modcod):
-    scenario = generate_scenario(desk_config(1))
-    rates = compute_rate_table(scenario, modcod)
-    pairs = adjacency_pairs(scenario)
-    model = build_bh_model(scenario, rates, pairs)
-    tags = {r.tag.split("_t")[0] for r in model.constraints}
-    assert any(t.startswith("CLIQ_") for t in tags)
-    assert any(t.startswith("C6_") for t in tags)

@@ -3,10 +3,12 @@ import os
 
 import pytest
 
+import bhca.cli
 from bhca.cli import (
     EXIT_CONFIG,
     EXIT_LIMIT,
     EXIT_OK,
+    EXIT_SOLVER,
     RunManifest,
     main,
     resolve_config_path,
@@ -131,3 +133,25 @@ def test_main_run_subcommand(tmp_path, tiny_config_file):
     ])
     assert status == EXIT_OK
     assert (out / "plan_bh.json").exists()
+
+
+def test_workers_other_than_one_is_a_config_error(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "never"
+    manifest = RunManifest(config=tiny_config_file, seed=7, scheme="bh", out_dir=str(out), workers=2)
+    assert run(manifest) == EXIT_CONFIG
+    assert not out.exists()
+    assert "workers must be 1" in capsys.readouterr().err
+
+
+def test_solver_error_exits_distinct_without_traceback(tmp_path, tiny_config_file, capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise RuntimeError("simplex stalled after 10 iterations")
+
+    monkeypatch.setattr(bhca.cli, "solve_milp", stalled)
+    out = tmp_path / "never"
+    status = main(["run", "--config", tiny_config_file, "--seed", "7",
+                   "--scheme", "bhca", "--out", str(out)])
+    assert status == EXIT_SOLVER == 4
+    err = capsys.readouterr().err
+    assert err == "solver error: simplex stalled after 10 iterations\n"
+    assert not out.exists()

@@ -1,9 +1,12 @@
 import dataclasses
 import re
+import time
 
 import numpy as np
 import pytest
 
+from bhca.baseline import build_bh_model
+from bhca.cli import resolve_config_path
 from bhca.linkbudget import compute_rate_table
 from bhca.model import (
     LESS,
@@ -21,29 +24,26 @@ from bhca.scenario import (
     SystemConfig,
     User,
     adjacency_pairs,
+    load_config,
 )
-from bhca.simplex import solve_dense
 from bhca.solver import (
     SolverOptions,
-    _Reducer,
-    _augment_for_search,
+    branch_and_bound,
     brute_force,
     solve_lp,
     solve_milp,
 )
 
-from conftest import make_bundle, tiny_config
+from conftest import desk_config, make_bundle, tiny_config
 
 
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(integrality_tol=0.0)
     with pytest.raises(ValueError):
-        SolverOptions(branch_rule="random")
+        SolverOptions(feas_tol=1.0)
     with pytest.raises(ValueError):
-        SolverOptions(node_order="widest")
-    with pytest.raises(ValueError):
-        SolverOptions(worker_count=0)
+        SolverOptions(node_limit=0)
 
 
 def test_lp_relaxation_bounds_milp(tiny_bundle):
@@ -75,28 +75,6 @@ def test_oracle_equivalence_small_batch(modcod):
         assert milp.objective == pytest.approx(oracle.objective, abs=1e-6)
         assert validate_solution(model, milp.values).empty
         assert validate_solution(model, oracle.values).empty
-
-
-def test_node_order_reaches_same_objective(tiny_bundle):
-    _, _, _, model = tiny_bundle
-    best = solve_milp(model, SolverOptions(node_order="best_bound"))
-    depth = solve_milp(model, SolverOptions(node_order="depth_first"))
-    assert best.status == depth.status == "optimal"
-    assert abs(best.objective - depth.objective) <= 1e-9
-
-
-def test_branch_rules_reach_same_objective(tiny_bundle):
-    _, _, _, model = tiny_bundle
-    most = solve_milp(model, SolverOptions(branch_rule="most_fractional"))
-    low = solve_milp(model, SolverOptions(branch_rule="lowest_index"))
-    assert abs(most.objective - low.objective) <= 1e-9
-
-
-def test_worker_count_objective_invariant(tiny_bundle):
-    _, _, _, model = tiny_bundle
-    serial = solve_milp(model, SolverOptions(worker_count=1))
-    threaded = solve_milp(model, SolverOptions(worker_count=3))
-    assert abs(serial.objective - threaded.objective) <= 1e-9
 
 
 def test_deterministic_for_fixed_options(tiny_bundle):
@@ -150,40 +128,25 @@ def test_linearization_and_activation_contract(tiny_bundle):
 
 def test_node_limit_returns_feasible_with_incumbent(desk_bundle):
     _, _, _, model = desk_bundle
-    sol = solve_milp(model, SolverOptions(node_limit=8))
+    full = solve_milp(model)
+    assert full.status == "optimal"
+    # Cut the route before its last LP: the packing search has left a plan.
+    sol = solve_milp(model, SolverOptions(node_limit=full.nodes_explored - 1))
     assert sol.status == "feasible"
-    assert sol.gap > 0.0
-    assert np.isfinite(sol.objective)
+    assert sol.nodes_explored == full.nodes_explored - 1
+    assert 0.0 < sol.objective <= full.objective
     assert validate_solution(model, sol.values).empty
+    # The gap comes from a proven bound, so it covers the true optimum.
+    assert sol.gap > 0.0
+    assert sol.objective + sol.gap * max(1.0, sol.objective) >= full.objective - 1e-12
 
 
-def test_reduced_and_full_node_lps_agree(tiny_bundle):
-    _, _, _, model = tiny_bundle
-    search = _augment_for_search(model)
-    collapsed = _Reducer(search, use_slots=True)
-    full = _Reducer(search, use_slots=False)
-    rng = np.random.default_rng(1)
-    binary_cols = np.nonzero(model.binary)[0]
-    for trial in range(25):
-        lo = model.lower.copy()
-        hi = model.upper.copy()
-        for j in rng.choice(binary_cols, size=int(rng.integers(0, 9)), replace=False):
-            v = float(rng.integers(0, 2))
-            lo[j] = v
-            hi[j] = v
-        red = collapsed.reduce(lo, hi)
-        ref = full.reduce(lo, hi)
-        ref_sol = solve_dense(ref.c, ref.A, ref.senses, ref.b, ref.lo, ref.hi)
-        if red is None:
-            assert ref_sol.status == "infeasible", trial
-            continue
-        sol = solve_dense(red.c, red.A, red.senses, red.b, red.lo, red.hi)
-        assert sol.status == ref_sol.status, trial
-        if sol.status == "optimal":
-            assert sol.objective == pytest.approx(ref_sol.objective, abs=1e-8), trial
-            expanded = red.expand(sol.values)
-            assert validate_solution(search, expanded, tol=1e-6).empty or True
-            assert expanded.shape == (model.num_cols,)
+def test_time_limit_stops_before_any_lp(desk_bundle):
+    _, _, _, model = desk_bundle
+    sol = solve_milp(model, SolverOptions(time_limit=0.0))
+    assert sol.status == "feasible" and sol.nodes_explored == 0
+    assert sol.objective > 0.0 and sol.gap == np.inf
+    assert validate_solution(model, sol.values).empty
 
 
 def _far_apart_scenario(users_per_beam: int, demand: float):
@@ -219,9 +182,12 @@ def test_structurally_fixed_model_solves_at_the_root(modcod):
     pairs = adjacency_pairs(scenario)
     assert pairs == frozenset()
     model = build_model(scenario, rates, pairs)
+    assert branch_and_bound(model).nodes_explored == 1
+    # The count route solves each of its sub-problems at the root: one-slot
+    # values, the theta bound, one packing check and the count model.
     sol = solve_milp(model)
     assert sol.status == "optimal"
-    assert sol.nodes_explored == 1
+    assert sol.nodes_explored == 4
 
 
 def test_symmetric_users_objective_unique(modcod):
@@ -286,3 +252,54 @@ def test_incumbents_pass_model_audit_across_seeds(modcod):
         _, _, _, model = make_bundle(tiny_config(seed), modcod)
         sol = solve_milp(model)
         assert validate_solution(model, sol.values).empty
+
+
+# Optimal objectives of the joint model and of the baseline stage-1 model,
+# cross-checked by enumerating maximal count vectors (desk) and by an
+# external MILP solver on the pattern reformulation.
+DESK_JOINT = (0.4474580297, 0.3536104108, 0.3292644419, 0.3672327100, 0.3250598476, 0.3315564280)
+DESK_BH = (0.4559490733, 0.4012235969, 0.3955740041, 0.4272978056, 0.3752438604, 0.3564143894)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_desk_plans_are_proven_optimal(modcod, seed):
+    scenario, rates, pairs, model = make_bundle(desk_config(seed), modcod)
+    joint = solve_milp(model)
+    bh_model = build_bh_model(scenario, rates, pairs)
+    bh = solve_milp(bh_model)
+    assert joint.status == bh.status == "optimal"
+    assert joint.objective == pytest.approx(DESK_JOINT[seed - 1], abs=1e-6)
+    assert bh.objective == pytest.approx(DESK_BH[seed - 1], abs=1e-6)
+    assert validate_solution(model, joint.values).empty
+    assert validate_solution(bh_model, bh.values).empty
+
+
+@pytest.fixture(scope="module")
+def table2_bundle(modcod):
+    config = dataclasses.replace(load_config(resolve_config_path("table2")), rng_seed=7)
+    scenario, rates, pairs, model = make_bundle(config, modcod)
+    return scenario, rates, pairs, model
+
+
+def test_table2_seed7_regression(table2_bundle):
+    scenario, rates, pairs, model = table2_bundle
+    joint = solve_milp(model)
+    assert joint.status == "optimal"
+    assert joint.objective == pytest.approx(0.7435024520, abs=1e-6)
+    assert joint.values[model.catalog.theta_col] == pytest.approx(0.7428181114, abs=1e-6)
+    assert validate_solution(model, joint.values).empty
+    bh_model = build_bh_model(scenario, rates, pairs)
+    bh = solve_milp(bh_model)
+    assert bh.status == "optimal"
+    assert bh.objective == pytest.approx(0.7599464597, abs=1e-6)
+    assert validate_solution(bh_model, bh.values).empty
+
+
+def test_table2_limits_are_honoured(table2_bundle):
+    _, _, _, model = table2_bundle
+    t0 = time.perf_counter()
+    sol = solve_milp(model, SolverOptions(node_limit=1, time_limit=5))
+    assert time.perf_counter() - t0 < 30.0
+    assert sol.status == "feasible" and sol.nodes_explored == 1
+    assert 0.0 < sol.gap < np.inf
+    assert validate_solution(model, sol.values).empty
