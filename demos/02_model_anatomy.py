@@ -30,7 +30,7 @@ print(f"  tL,theta                 cluster-ratio floor and the min floor")
 print(f"total: {model.num_cols} columns, {model.num_rows} rows")
 print()
 
-families = Counter(row.tag.split("_")[0] for row in model.constraints)
+families = Counter(tag.split("_")[0] for tag in model.tags)
 meanings = {
     "C1": "carriers per user capped by delta_max",
     "C2": "fill-rates on a carrier sum to <= 1",

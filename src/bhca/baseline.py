@@ -18,8 +18,9 @@ from .model import (
     GREATER,
     LESS,
     BaselineCatalog,
-    LinearConstraint,
     ModelInstance,
+    RowBuilder,
+    index_labels,
 )
 from .scenario import Scenario
 from .solver import MilpSolution, SolverOptions, solve_milp
@@ -61,40 +62,23 @@ def build_bh_model(
     caps = cluster_slot_capacity(scenario, rates)
     demand = scenario.demand_matrix().sum(axis=1)
 
-    rows: list[LinearConstraint] = []
     ratio = caps / demand
-    for l in range(L):
-        cols = [cat.z_col(l, t) for t in range(T)] + [cat.theta_col]
-        coefs = [float(ratio[l])] * T + [-1.0]
-        rows.append(LinearConstraint(tuple(cols), tuple(coefs), GREATER, 0.0, f"RATIO_l{l + 1}"))
-    for t in range(T):
-        rows.append(
-            LinearConstraint(
-                tuple(cat.z_col(l, t) for l in range(L)),
-                (1.0,) * L,
-                LESS,
-                float(cfg.active_clusters_per_slot),
-                f"C3_t{t + 1}",
-            )
-        )
+    z = np.arange(L * T).reshape(L, T)   # z_col(l, t)
+    ls, ts = index_labels("l", L), index_labels("t", T)
+    rows = RowBuilder()
+    rows.add(
+        "RATIO", (ls,),
+        np.concatenate([z, np.full((L, 1), cat.theta_col)], axis=1),
+        np.concatenate([np.repeat(ratio[:, None], T, axis=1), np.full((L, 1), -1.0)], axis=1),
+        GREATER, 0.0,
+    )
+    rows.add("C3", (ts,), z.T, 1.0, LESS, cfg.active_clusters_per_slot)
     sorted_pairs = sorted(tuple(p) for p in pairs)
-    for (n1, n2) in sorted_pairs:
-        for t in range(T):
-            rows.append(
-                LinearConstraint(
-                    (cat.z_col(n1, t), cat.z_col(n2, t)),
-                    (1.0, 1.0),
-                    LESS,
-                    1.0,
-                    f"C6_l{n1 + 1}_l{n2 + 1}_t{t + 1}",
-                )
-            )
+    rows.add_exclusions(sorted_pairs, z, ts)
 
     objective = np.zeros(cat.num_cols)
     objective[cat.theta_col] = 1.0
-    for l in range(L):
-        for t in range(T):
-            objective[cat.z_col(l, t)] = epsilon_tiebreak * float(ratio[l])
+    objective[z] = epsilon_tiebreak * ratio[:, None]
 
     lower = np.zeros(cat.num_cols)
     upper = np.ones(cat.num_cols)
@@ -104,7 +88,7 @@ def build_bh_model(
 
     return ModelInstance(
         catalog=cat,
-        constraints=tuple(rows),
+        **rows.arrays(),
         objective=objective,
         lower=lower,
         upper=upper,

@@ -24,7 +24,9 @@ from importlib import resources
 
 from . import baseline, metrics
 from .linkbudget import ModcodTable, compute_rate_table
-from .model import build_model, decode_plan, validate_solution
+# ``validate_solution`` is not called here (``decode_plan`` audits every
+# plan); the name stays bound because bench/tracing.py wraps it.
+from .model import InfeasibleSolutionError, build_model, decode_plan, validate_solution  # noqa: F401
 from .lp_format import export_lp
 from .scenario import ConfigError, adjacency_pairs, generate_scenario, load_config
 from .solver import SolverOptions, solve_milp
@@ -153,10 +155,10 @@ def run(manifest: RunManifest) -> int:
         solution = solve_milp(model, opts, log=log_lines.append)
         statuses["bhca"] = solution.status
         artifacts["solver_log_bhca.txt"] = "\n".join(log_lines) + "\n"
-        audit = validate_solution(model, solution.values)
-        if not audit.empty:
-            raise RuntimeError(f"joint solution failed its audit: {audit}")
-        plan = decode_plan(model, solution, scenario)
+        try:
+            plan = decode_plan(model, solution, scenario)
+        except InfeasibleSolutionError as exc:
+            raise RuntimeError(f"joint solution failed its audit: {exc.report}") from exc
         artifacts["plan_bhca.json"] = _dump_json(plan.to_dict())
         report = metrics.build_report(plan, scenario)
         reports["bhca"] = report

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import EQUAL, GREATER, LESS, ModelInstance
+import numpy as np
+
+from .model import ModelInstance
 
 _FOLD_WIDTH = 220
 
@@ -40,36 +42,47 @@ def _terms(cols, coefs, names) -> list[str]:
     return tokens
 
 
+def _col_names(model: ModelInstance) -> list[str]:
+    cat = model.catalog
+    return [cat.col_name(j) for j in range(model.num_cols)]
+
+
 def export_lp(model: ModelInstance, name: str = "bhca") -> str:
     """Render the model as CPLEX-LP text; repeated calls are byte-identical."""
-    cat = model.catalog
-    names = [cat.col_name(j) for j in range(model.num_cols)]
+    names = _col_names(model)
     out = [f"\\ Problem: {name}"]
 
-    obj_cols = [j for j in range(model.num_cols) if model.objective[j] != 0.0]
+    obj_cols = np.nonzero(model.objective)[0].tolist()
     out.append("Maximize")
-    out.extend(_fold(" obj:", _terms(obj_cols, [model.objective[j] for j in obj_cols], names)))
+    out.extend(_fold(" obj:", _terms(obj_cols, model.objective[obj_cols].tolist(), names)))
 
+    # Each row is rendered from its term strings, and every number once per
+    # distinct value. A row wider than _FOLD_WIDTH is folded.
     out.append("Subject To")
-    sense_txt = {LESS: "<=", GREATER: ">=", EQUAL: "="}
-    for row in model.constraints:
-        tokens = _terms(row.cols, row.coefs, names)
-        tokens.extend([sense_txt[row.sense], _num(row.rhs)])
-        out.extend(_fold(f" {row.tag}:", tokens))
+    coefs, rhs = model.coefs.tolist(), model.rhs.tolist()
+    signed = {v: f" {'+' if v >= 0 else '-'} {_num(abs(v))} " for v in set(coefs)}
+    terms = [signed[v] + names[c] for v, c in zip(coefs, model.cols.tolist())]
+    rhs_txt = {v: _num(v) for v in set(rhs)}
+    ptr = model.indptr.tolist()
+    for tag, sense, b, start, stop in zip(model.tags, model.senses.tolist(), rhs, ptr[:-1], ptr[1:]):
+        line = f" {tag}:{''.join(terms[start:stop])} {sense} {rhs_txt[b]}"
+        if len(line) <= _FOLD_WIDTH:
+            out.append(line)
+        else:
+            tokens = "".join(terms[start:stop]).split() + [sense, rhs_txt[b]]
+            out.extend(_fold(f" {tag}:", tokens))
 
     out.append("Bounds")
-    for j in range(model.num_cols):
-        if model.binary[j]:
-            continue
-        lo, hi = model.lower[j], model.upper[j]
-        if lo == 0.0 and hi == float("inf"):
-            continue
-        if hi == float("inf"):
-            out.append(f" {names[j]} >= {_num(lo)}")
+    shown = np.nonzero(~model.binary & ((model.lower != 0.0) | (model.upper != np.inf)))[0]
+    lows, highs = model.lower[shown].tolist(), model.upper[shown].tolist()
+    bound_txt = {v: _num(v) for v in {*lows, *highs} if v != np.inf}
+    for j, lo, hi in zip(shown.tolist(), lows, highs):
+        if hi == np.inf:
+            out.append(f" {names[j]} >= {bound_txt[lo]}")
         else:
-            out.append(f" {_num(lo)} <= {names[j]} <= {_num(hi)}")
+            out.append(f" {bound_txt[lo]} <= {names[j]} <= {bound_txt[hi]}")
 
-    binaries = [names[j] for j in range(model.num_cols) if model.binary[j]]
+    binaries = [names[j] for j in np.nonzero(model.binary)[0].tolist()]
     if binaries:
         out.append("Binaries")
         out.extend(_fold("", binaries))
@@ -231,12 +244,14 @@ def parse_lp(text: str) -> ParsedLp:
 
 def model_canonical_rows(model: ModelInstance):
     """The model's rows in the same comparable shape ParsedLp produces."""
-    cat = model.catalog
-    names = [cat.col_name(j) for j in range(model.num_cols)]
+    names = _col_names(model)
+    cols, coefs, ptr = model.cols.tolist(), model.coefs.tolist(), model.indptr.tolist()
     rows = {}
-    for row in model.constraints:
-        terms = tuple(sorted((names[c], v) for c, v in zip(row.cols, row.coefs)))
-        rows[row.tag] = (terms, row.sense, row.rhs)
+    for tag, sense, rhs, start, stop in zip(
+        model.tags, model.senses.tolist(), model.rhs.tolist(), ptr[:-1], ptr[1:]
+    ):
+        terms = tuple(sorted((names[c], v) for c, v in zip(cols[start:stop], coefs[start:stop])))
+        rows[tag] = (terms, sense, rhs)
     return rows
 
 

@@ -9,8 +9,11 @@ stable ``C1..C9`` tags so audits and the LP export can name every row.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -150,7 +153,10 @@ class BaselineCatalog:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """One sparse row: sum(coefs * x[cols]) <sense> rhs. Zero coefficients are never stored."""
+    """One hand-written sparse row: sum(coefs * x[cols]) <sense> rhs.
+
+    ``ModelInstance.from_constraints`` packs a list of them into a model.
+    """
 
     cols: tuple[int, ...]
     coefs: tuple[float, ...]
@@ -163,12 +169,108 @@ class LinearConstraint:
         return dict(zip(self.cols, self.coefs))
 
 
+def index_labels(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{k + 1}" for k in range(n))
+
+
+class RowTags(Sequence):
+    """Row names of an assembled model, rendered on demand.
+
+    Each block names a run of rows ``family_<label>_<label>...``, one label
+    per axis, in row-major order over the axes; an axis is a tuple of label
+    strings. A row's name is only built when it is read.
+    """
+
+    def __init__(self, blocks):
+        self._blocks = tuple((family, tuple(axes)) for family, axes in blocks)
+        sizes = [math.prod(len(axis) for axis in axes) for _, axes in self._blocks]
+        self._starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+    def __len__(self) -> int:
+        return int(self._starts[-1])
+
+    def __getitem__(self, i: int) -> str:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        b = int(np.searchsorted(self._starts, i, side="right")) - 1
+        family, axes = self._blocks[b]
+        idx = np.unravel_index(i - int(self._starts[b]), [len(axis) for axis in axes])
+        return "_".join([family, *(axis[k] for axis, k in zip(axes, idx))])
+
+    def __iter__(self):
+        for family, axes in self._blocks:
+            for labels in itertools.product(*axes):
+                yield "_".join((family, *labels))
+
+
+class RowBuilder:
+    """Collects constraint families as blocks of CSR rows."""
+
+    def __init__(self):
+        self.counts, self.cols, self.coefs, self.senses, self.rhs, self.blocks = [], [], [], [], [], []
+
+    def add(self, family, axes, cols, coefs, sense, rhs):
+        """One row per cell of the grid spanned by ``axes``.
+
+        ``cols`` has shape ``grid + (k,)`` and holds each row's k terms in
+        order; ``coefs`` and ``rhs`` broadcast to ``cols`` and to the grid.
+        Zero coefficients are dropped.
+        """
+        shape = tuple(len(axis) for axis in axes)
+        cols = np.asarray(cols, dtype=np.int64)
+        coefs = np.broadcast_to(np.asarray(coefs, dtype=float), cols.shape).reshape(-1, cols.shape[-1])
+        keep = coefs != 0.0
+        self.counts.append(keep.sum(axis=1))
+        self.cols.append(cols.reshape(-1, cols.shape[-1])[keep])
+        self.coefs.append(coefs[keep])
+        self.senses.append(np.full(math.prod(shape), sense, dtype="<U2"))
+        self.rhs.append(np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel())
+        self.blocks.append((family, axes))
+
+    def add_exclusions(self, sorted_pairs, z, slot_labels):
+        """C6: the two clusters of each adjacent pair are never lit in the
+        same slot; ``z`` is the (cluster, slot) column grid."""
+        first, second = np.array(sorted_pairs, dtype=np.int64).reshape(-1, 2).T
+        pair_labels = tuple(f"l{n1 + 1}_l{n2 + 1}" for n1, n2 in sorted_pairs)
+        self.add("C6", (pair_labels, slot_labels), _terms(z[first], z[second]), 1.0, LESS, 1.0)
+
+    def arrays(self) -> dict:
+        """The ``ModelInstance`` row fields."""
+        return dict(
+            indptr=np.concatenate([[0], np.cumsum(np.concatenate(self.counts), dtype=np.int64)]),
+            cols=np.concatenate(self.cols),
+            coefs=np.concatenate(self.coefs),
+            senses=np.concatenate(self.senses),
+            rhs=np.concatenate(self.rhs),
+            tags=RowTags(self.blocks),
+        )
+
+
+def _terms(*grids) -> np.ndarray:
+    """Stack column grids into per-row term lists (last axis)."""
+    return np.stack(np.broadcast_arrays(*grids), axis=-1)
+
+
 @dataclass(eq=False)
 class ModelInstance:
-    """Immutable assembled model: catalog, rows, scalarized objective, bounds."""
+    """Immutable assembled model: catalog, rows, scalarized objective, bounds.
+
+    Rows are stored CSR-style: row ``i`` reads
+    ``sum(coefs[k] * x[cols[k]] for k in range(indptr[i], indptr[i + 1]))
+    senses[i] rhs[i]`` and is named ``tags[i]``. Zero coefficients are never
+    stored.
+    """
 
     catalog: object
-    constraints: tuple[LinearConstraint, ...]
+    indptr: np.ndarray
+    cols: np.ndarray
+    coefs: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
+    tags: Sequence[str]
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -183,37 +285,35 @@ class ModelInstance:
     active_clusters_per_slot: int | None = None
     delta_max: int | None = None
 
+    @classmethod
+    def from_constraints(cls, catalog, constraints, **fields) -> "ModelInstance":
+        """A model whose rows are the given ``LinearConstraint`` list."""
+        return cls(
+            catalog=catalog,
+            indptr=np.cumsum([0, *(len(r.cols) for r in constraints)], dtype=np.int64),
+            cols=np.array([c for r in constraints for c in r.cols], dtype=np.int64),
+            coefs=np.array([v for r in constraints for v in r.coefs], dtype=float),
+            senses=np.array([r.sense for r in constraints], dtype="<U2"),
+            rhs=np.array([r.rhs for r in constraints], dtype=float),
+            tags=tuple(r.tag for r in constraints),
+            **fields,
+        )
+
     @property
     def num_cols(self) -> int:
         return self.objective.shape[0]
 
     @property
     def num_rows(self) -> int:
-        return len(self.constraints)
-
-    @cached_property
-    def row_arrays(self):
-        """CSR-style arrays (indptr, cols, coefs, senses, rhs) for fast evaluation."""
-        indptr = np.zeros(len(self.constraints) + 1, dtype=np.int64)
-        cols = []
-        coefs = []
-        senses = np.empty(len(self.constraints), dtype="<U2")
-        rhs = np.empty(len(self.constraints))
-        for i, row in enumerate(self.constraints):
-            cols.append(np.asarray(row.cols, dtype=np.int64))
-            coefs.append(np.asarray(row.coefs))
-            indptr[i + 1] = indptr[i] + len(row.cols)
-            senses[i] = row.sense
-            rhs[i] = row.rhs
-        cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        coefs = np.concatenate(coefs) if coefs else np.empty(0)
-        return indptr, cols, coefs, senses, rhs
+        return self.rhs.shape[0]
 
     def row_values(self, x: np.ndarray) -> np.ndarray:
-        indptr, cols, coefs, _, _ = self.row_arrays
-        prods = coefs * x[cols]
-        out = np.add.reduceat(prods, indptr[:-1]) if len(cols) else np.zeros(len(self.constraints))
-        out[indptr[:-1] == indptr[1:]] = 0.0
+        """Left-hand side of every row at ``x``."""
+        # The trailing zero keeps every row start a valid index, so an empty
+        # row in last place reads 0 like an empty row anywhere else.
+        prods = np.append(self.coefs * x[self.cols], 0.0)
+        out = np.add.reduceat(prods, self.indptr[:-1])
+        out[self.indptr[:-1] == self.indptr[1:]] = 0.0
         return out
 
     def canonical_text(self) -> str:
@@ -223,9 +323,12 @@ class ModelInstance:
             f"{j}:{self.objective[j]!r}" for j in np.nonzero(self.objective)[0]
         )
         lines.append(f"obj|{obj_terms}")
-        for row in self.constraints:
-            terms = ",".join(f"{c}:{v!r}" for c, v in zip(row.cols, row.coefs))
-            lines.append(f"{row.tag}|{row.sense}|{row.rhs!r}|{terms}")
+        terms = [f"{c}:{v!r}" for c, v in zip(self.cols.tolist(), self.coefs.tolist())]
+        ptr = self.indptr.tolist()
+        for tag, sense, rhs, start, stop in zip(
+            self.tags, self.senses.tolist(), self.rhs.tolist(), ptr[:-1], ptr[1:]
+        ):
+            lines.append(f"{tag}|{sense}|{rhs!r}|{','.join(terms[start:stop])}")
         bounds = ",".join(
             f"{j}:{self.lower[j]!r}:{self.upper[j]!r}:{int(self.binary[j])}"
             for j in range(self.num_cols)
@@ -262,175 +365,71 @@ def build_model(
     demand = scenario.demand_matrix()
     cat = VariableCatalog(L, C, U, T)
 
-    rows: list[LinearConstraint] = []
+    # Column grids, one axis per index.
+    lcu = np.arange(L * C * U).reshape(L, C, U)
+    a = cat.off_a + lcu
+    beta = cat.off_beta + lcu
+    q = cat.off_q + np.arange(L * C * U * T).reshape(L, C, U, T)
+    z = cat.off_z + np.arange(L * T).reshape(L, T)
+    tu = cat.off_tu + np.arange(L)
+    q_z = z[:, None, None, :]
+    q_beta = beta[..., None]
+    ls, cs, us, ts = (index_labels(p, n) for p, n in (("l", L), ("c", C), ("u", U), ("t", T)))
 
-    def add(cols, coefs, sense, rhs, tag):
-        kept = [(c, v) for c, v in zip(cols, coefs) if v != 0.0]
-        rows.append(
-            LinearConstraint(
-                cols=tuple(c for c, _ in kept),
-                coefs=tuple(float(v) for _, v in kept),
-                sense=sense,
-                rhs=float(rhs),
-                tag=tag,
-            )
-        )
-
+    rows = RowBuilder()
     # C1: each user aggregates at most delta_max carriers.
-    for l in range(L):
-        for u in range(U):
-            add(
-                [cat.a_col(l, c, u) for c in range(C)],
-                [1.0] * C,
-                LESS,
-                cfg.delta_max,
-                f"C1_l{l + 1}_u{u + 1}",
-            )
+    rows.add("C1", (ls, us), a.transpose(0, 2, 1), 1.0, LESS, cfg.delta_max)
     # C2: fill-rates on one carrier sum to at most 1.
-    for l in range(L):
-        for c in range(C):
-            add(
-                [cat.beta_col(l, c, u) for u in range(U)],
-                [1.0] * U,
-                LESS,
-                1.0,
-                f"C2_l{l + 1}_c{c + 1}",
-            )
+    rows.add("C2", (ls, cs), beta, 1.0, LESS, 1.0)
     # C3: at most N_T clusters active per slot.
-    for t in range(T):
-        add(
-            [cat.z_col(l, t) for l in range(L)],
-            [1.0] * L,
-            LESS,
-            cfg.active_clusters_per_slot,
-            f"C3_t{t + 1}",
-        )
+    rows.add("C3", (ts,), z.T, 1.0, LESS, cfg.active_clusters_per_slot)
     # C4: per-user supply covers the cluster ratio floor. Rows are divided
     # through by the (positive) demand so coefficients stay O(1).
-    for l in range(L):
-        for u in range(U):
-            if demand[l, u] <= 0.0:
-                raise StructuralError(f"user demand must be positive (cluster {l}, user {u})")
-            cols = []
-            coefs = []
-            for c in range(C):
-                for t in range(T):
-                    cols.append(cat.q_col(l, c, u, t))
-                    coefs.append(R[l, c, u] / demand[l, u])
-            cols.append(cat.tu_col(l))
-            coefs.append(-1.0)
-            add(cols, coefs, GREATER, 0.0, f"C4_l{l + 1}_u{u + 1}")
+    bad = np.argwhere(demand <= 0.0)
+    if bad.size:
+        l, u = bad[0]
+        raise StructuralError(f"user demand must be positive (cluster {l}, user {u})")
+    user_coef = (R / demand[:, None, :]).transpose(0, 2, 1)           # (l, u, c)
+    rows.add(
+        "C4", (ls, us),
+        np.concatenate([q.transpose(0, 2, 1, 3).reshape(L, U, C * T),
+                        np.broadcast_to(tu[:, None, None], (L, U, 1))], axis=2),
+        np.concatenate([np.repeat(user_coef, T, axis=2), np.full((L, U, 1), -1.0)], axis=2),
+        GREATER, 0.0,
+    )
     # C5: per-cluster supply covers the system ratio floor, same normalization.
-    for l in range(L):
-        d_l = float(demand[l].sum())
-        cols = []
-        coefs = []
-        for c in range(C):
-            for u in range(U):
-                for t in range(T):
-                    cols.append(cat.q_col(l, c, u, t))
-                    coefs.append(R[l, c, u] / d_l)
-        cols.append(cat.tl_col)
-        coefs.append(-1.0)
-        add(cols, coefs, GREATER, 0.0, f"C5_l{l + 1}")
+    cluster_coef = (R / demand.sum(axis=1)[:, None, None]).reshape(L, C * U)
+    rows.add(
+        "C5", (ls,),
+        np.concatenate([q.reshape(L, C * U * T), np.full((L, 1), cat.tl_col)], axis=1),
+        np.concatenate([np.repeat(cluster_coef, T, axis=1), np.full((L, 1), -1.0)], axis=1),
+        GREATER, 0.0,
+    )
     # C6: adjacent clusters never co-illuminated.
     sorted_pairs = sorted(tuple(p) for p in pairs)
-    for (n1, n2) in sorted_pairs:
-        for t in range(T):
-            add(
-                [cat.z_col(n1, t), cat.z_col(n2, t)],
-                [1.0, 1.0],
-                LESS,
-                1.0,
-                f"C6_l{n1 + 1}_l{n2 + 1}_t{t + 1}",
-            )
+    rows.add_exclusions(sorted_pairs, z, ts)
     # C7: fill-rate active exactly when the carrier is assigned (big-M = 1).
     big_m = 1.0
-    for l in range(L):
-        for c in range(C):
-            for u in range(U):
-                add(
-                    [cat.beta_col(l, c, u), cat.a_col(l, c, u)],
-                    [1.0, -big_m],
-                    LESS,
-                    0.0,
-                    f"C7a_l{l + 1}_c{c + 1}_u{u + 1}",
-                )
-    for l in range(L):
-        for c in range(C):
-            for u in range(U):
-                add(
-                    [cat.beta_col(l, c, u), cat.a_col(l, c, u)],
-                    [1.0, -1.0],
-                    GREATER,
-                    epsilon_fill - 1.0,
-                    f"C7b_l{l + 1}_c{c + 1}_u{u + 1}",
-                )
+    rows.add("C7a", (ls, cs, us), _terms(beta, a), [1.0, -big_m], LESS, 0.0)
+    rows.add("C7b", (ls, cs, us), _terms(beta, a), [1.0, -1.0], GREATER, epsilon_fill - 1.0)
     # C8: theta sits below every ratio floor.
-    for l in range(L):
-        add(
-            [cat.theta_col, cat.tu_col(l)],
-            [1.0, -1.0],
-            LESS,
-            0.0,
-            f"C8a_l{l + 1}",
-        )
-    add([cat.theta_col, cat.tl_col], [1.0, -1.0], LESS, 0.0, "C8b")
+    rows.add("C8a", (ls,), _terms(cat.theta_col, tu), [1.0, -1.0], LESS, 0.0)
+    rows.add("C8b", (), [cat.theta_col, cat.tl_col], [1.0, -1.0], LESS, 0.0)
     # C9: envelope forcing q = beta * z at binary z.
-    for l in range(L):
-        for c in range(C):
-            for u in range(U):
-                for t in range(T):
-                    add(
-                        [cat.q_col(l, c, u, t)],
-                        [1.0],
-                        GREATER,
-                        0.0,
-                        f"C9a_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
-                    )
-    for l in range(L):
-        for c in range(C):
-            for u in range(U):
-                for t in range(T):
-                    add(
-                        [cat.q_col(l, c, u, t), cat.z_col(l, t)],
-                        [1.0, -1.0],
-                        LESS,
-                        0.0,
-                        f"C9b_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
-                    )
-    for l in range(L):
-        for c in range(C):
-            for u in range(U):
-                for t in range(T):
-                    add(
-                        [cat.q_col(l, c, u, t), cat.beta_col(l, c, u)],
-                        [1.0, -1.0],
-                        LESS,
-                        0.0,
-                        f"C9c_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
-                    )
-    for l in range(L):
-        for c in range(C):
-            for u in range(U):
-                for t in range(T):
-                    add(
-                        [cat.q_col(l, c, u, t), cat.beta_col(l, c, u), cat.z_col(l, t)],
-                        [1.0, -1.0, -1.0],
-                        GREATER,
-                        -1.0,
-                        f"C9d_l{l + 1}_c{c + 1}_u{u + 1}_t{t + 1}",
-                    )
+    lcut = (ls, cs, us, ts)
+    rows.add("C9a", lcut, q[..., None], 1.0, GREATER, 0.0)
+    rows.add("C9b", lcut, _terms(q, q_z), [1.0, -1.0], LESS, 0.0)
+    rows.add("C9c", lcut, _terms(q, q_beta), [1.0, -1.0], LESS, 0.0)
+    rows.add("C9d", lcut, _terms(q, q_beta, q_z), [1.0, -1.0, -1.0], GREATER, -1.0)
 
     objective = np.zeros(cat.num_cols)
     objective[cat.theta_col] = 1.0
-    for l in range(L):
-        objective[cat.tu_col(l)] = epsilon_tiebreak
+    objective[tu] = epsilon_tiebreak
     objective[cat.tl_col] = epsilon_tiebreak
 
     return ModelInstance(
         catalog=cat,
-        constraints=tuple(rows),
+        **rows.arrays(),
         objective=objective,
         lower=cat.lower(),
         upper=cat.upper(),
@@ -440,7 +439,7 @@ def build_model(
         big_m=big_m,
         rate_per_slot=R,
         demand=demand,
-        pairs=frozenset(tuple(p) for p in sorted_pairs),
+        pairs=frozenset(sorted_pairs),
         active_clusters_per_slot=cfg.active_clusters_per_slot,
         delta_max=cfg.delta_max,
     )
@@ -475,17 +474,13 @@ def validate_solution(model: ModelInstance, assignment: np.ndarray, tol: float =
         raise StructuralError(
             f"assignment covers {x.shape} columns, model has {model.num_cols}"
         )
-    entries = []
     lhs = model.row_values(x)
-    for i, row in enumerate(model.constraints):
-        if row.sense == LESS:
-            violation = lhs[i] - row.rhs
-        elif row.sense == GREATER:
-            violation = row.rhs - lhs[i]
-        else:
-            violation = abs(lhs[i] - row.rhs)
-        if violation > tol:
-            entries.append((row.tag, float(violation)))
+    excess = np.where(
+        model.senses == LESS, lhs - model.rhs,
+        np.where(model.senses == GREATER, model.rhs - lhs, np.abs(lhs - model.rhs)),
+    )
+    violated = np.nonzero(excess > tol)[0]
+    entries = [(model.tags[i], v) for i, v in zip(violated.tolist(), excess[violated].tolist())]
     low_viol = model.lower - x
     up_viol = x - model.upper
     for j in np.nonzero(low_viol > tol)[0]:

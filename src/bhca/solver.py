@@ -157,10 +157,9 @@ def _branch_and_bound(search: _Search, c, A, senses, b, lo, hi, tiers,
 
 
 def _dense(model: ModelInstance):
-    indptr, cols, coefs, senses, rhs = model.row_arrays
     A = np.zeros((model.num_rows, model.num_cols))
-    A[np.repeat(np.arange(model.num_rows), np.diff(indptr)), cols] = coefs
-    return A, list(senses), rhs
+    A[np.repeat(np.arange(model.num_rows), np.diff(model.indptr)), model.cols] = model.coefs
+    return A, model.senses, model.rhs
 
 
 def solve_lp(model: ModelInstance, fixings: dict[int, tuple[float, float]] | None = None) -> LpSolution:
@@ -515,8 +514,9 @@ def brute_force(model: ModelInstance) -> MilpSolution:
 
     Enumerates every (assignment, illumination) pattern that passes the cheap
     carrier-count / activation-cap / adjacency filters, solves the continuous
-    (fill-rate, floors) LP for each, and returns the best. Exact up to LP
-    tolerance; refuses models with more than 24 binaries.
+    (fill-rate, floors) LP for each, and returns the best. Illumination
+    patterns with equal per-cluster slot counts share one set of LPs. Exact
+    up to LP tolerance; refuses models with more than 24 binaries.
     """
     cat = model.catalog
     if not isinstance(cat, VariableCatalog) or model.rate_per_slot is None:
@@ -599,11 +599,18 @@ def brute_force(model: ModelInstance) -> MilpSolution:
     best_obj = -np.inf
     best = None
     evaluated = 0
+    counts_seen = set()
     for z_pattern in itertools.product(slot_patterns, repeat=T):
         n_active = np.zeros(L)
         for active in z_pattern:
             for l in active:
                 n_active[l] += 1.0
+        # The inner LPs read the schedule only through its slot counts: the
+        # first schedule with these counts already tried every assignment,
+        # and a tie never replaces the best.
+        if tuple(n_active) in counts_seen:
+            continue
+        counts_seen.add(tuple(n_active))
         A = np.vstack([
             rows_c2,
             template_c4 * np.repeat(n_active, U)[:, None],

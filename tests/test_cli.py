@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import bhca.cli
+import bhca.model
 from bhca.cli import (
     EXIT_CONFIG,
     EXIT_LIMIT,
@@ -16,6 +18,7 @@ from bhca.cli import (
     validate_config,
 )
 from bhca.scenario import SystemConfig
+from bhca.solver import MilpSolution
 
 from conftest import tiny_config
 
@@ -154,4 +157,35 @@ def test_solver_error_exits_distinct_without_traceback(tmp_path, tiny_config_fil
     assert status == EXIT_SOLVER == 4
     err = capsys.readouterr().err
     assert err == "solver error: simplex stalled after 10 iterations\n"
+    assert not out.exists()
+
+
+def test_joint_plan_is_audited_once(tmp_path, tiny_config_file, monkeypatch):
+    audits = []
+    audit = bhca.model.validate_solution
+
+    def counted(*args, **kwargs):
+        audits.append(1)
+        return audit(*args, **kwargs)
+
+    monkeypatch.setattr(bhca.model, "validate_solution", counted)
+    monkeypatch.setattr(bhca.cli, "validate_solution", counted)
+    manifest = RunManifest(config=tiny_config_file, seed=7, scheme="bhca", out_dir=str(tmp_path / "out"))
+    assert run(manifest) == EXIT_OK
+    assert len(audits) == 1
+
+
+def test_infeasible_joint_plan_exits_solver_error(tmp_path, tiny_config_file, capsys, monkeypatch):
+    def infeasible(model, *args, **kwargs):
+        # Half-set binaries break integrality and C9 at once.
+        return MilpSolution(np.full(model.num_cols, 0.5), 0.0, "optimal", 1, 0.0, 0.0)
+
+    monkeypatch.setattr(bhca.cli, "solve_milp", infeasible)
+    out = tmp_path / "never"
+    status = main(["run", "--config", tiny_config_file, "--seed", "7",
+                   "--scheme", "bhca", "--out", str(out)])
+    assert status == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: joint solution failed its audit: ")
+    assert "violation(s): " in err and err.count("\n") == 1
     assert not out.exists()

@@ -1,11 +1,44 @@
+import dataclasses
+import hashlib
+
 import pytest
 
+from bhca.cli import resolve_config_path
 from bhca.lp_format import export_lp, model_canonical_rows, parse_lp, round_trip_matches
 from bhca.baseline import build_bh_model
 from bhca.linkbudget import compute_rate_table
-from bhca.scenario import adjacency_pairs, generate_scenario
+from bhca.scenario import adjacency_pairs, generate_scenario, load_config
 
 from conftest import make_bundle, tiny_config
+
+# sha256 of export_lp(build_model), matrix_hash() and export_lp(build_bh_model)
+# for the shipped configs, pinned from the per-row-object implementation.
+GOLDEN = {
+    ("desk", 1): (
+        "1263e09e75c0ad0617725f1a0c22b6fcb6992872da80c4b5dab71a550dbccbf2",
+        "64148b5099339564d0874c2ddd4f8a0765e46e6b05976a0453e1421732e43a00",
+        "29f97b543dfc45caea3199433b77452948aa73298801ecc52a7753454ef1a65a",
+    ),
+    ("table2", 7): (
+        "702817471c199c468c56d607350d1eb7bbc80eee2b6c3a6d1af88c39d89549a6",
+        "b0efbbf40c877369aca37a3018ef891b890b50620d1a4f75216136c5e9eaa69c",
+        "95939d2ac839994d386f495b93108f91d83cbf4f97e4ebf09ba20a5b48dde50c",
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("config,seed", sorted(GOLDEN))
+def test_exports_and_matrix_hash_match_golden(modcod, config, seed):
+    cfg = dataclasses.replace(load_config(resolve_config_path(config)), rng_seed=seed)
+    scenario, rates, pairs, model = make_bundle(cfg, modcod)
+    lp, matrix, bh = GOLDEN[config, seed]
+    assert _sha(export_lp(model)) == lp
+    assert model.matrix_hash() == matrix
+    assert _sha(export_lp(build_bh_model(scenario, rates, pairs))) == bh
 
 
 def test_export_is_byte_stable(tiny_bundle):
@@ -32,7 +65,7 @@ def test_round_trip_on_five_fixture_models(modcod):
         _, _, _, model = make_bundle(tiny_config(seed), modcod)
         parsed = parse_lp(export_lp(model))
         assert round_trip_matches(model, parsed), f"seed {seed}"
-        assert parsed.constraint_order == tuple(r.tag for r in model.constraints)
+        assert parsed.constraint_order == tuple(model.tags)
 
 
 def test_single_binary_model_binaries_section(modcod):

@@ -3,7 +3,11 @@ import pytest
 
 from bhca.linkbudget import compute_rate_table
 from bhca.model import (
+    GREATER,
+    LESS,
     InfeasibleSolutionError,
+    LinearConstraint,
+    ModelInstance,
     StructuralError,
     build_model,
     decode_plan,
@@ -21,8 +25,8 @@ TINY_MODEL_HASH = "307833724bf104d9fa427f9ece23f1be6a5676bc2c5ac653f9ed18284bd1c
 
 def _family_counts(model):
     counts = {}
-    for row in model.constraints:
-        fam = row.tag.split("_")[0]
+    for tag in model.tags:
+        fam = tag.split("_")[0]
         counts[fam] = counts.get(fam, 0) + 1
     return counts
 
@@ -47,9 +51,19 @@ def test_exactly_one_tl_column_and_c8b_row(tiny_bundle):
     _, _, _, model = tiny_bundle
     cat = model.catalog
     assert cat.col_name(cat.tl_col) == "tL"
-    assert sum(1 for r in model.constraints if r.tag == "C8b") == 1
+    assert list(model.tags).count("C8b") == 1
     names = [cat.col_name(j) for j in range(model.num_cols)]
     assert names.count("tL") == 1 and names.count("theta") == 1
+
+
+def test_row_tags_read_by_index_match_their_order(tiny_bundle):
+    _, _, _, model = tiny_bundle
+    tags = model.tags
+    assert len(tags) == model.num_rows
+    assert [tags[i] for i in range(len(tags))] == list(tags)
+    assert tags[0] == "C1_l1_u1" and tags[-1] == "C9d_l2_c2_u2_t2"
+    with pytest.raises(IndexError):
+        tags[len(tags)]
 
 
 def test_assignment_and_fill_carry_no_time_axis(tiny_bundle):
@@ -103,6 +117,29 @@ def test_integrality_violations_reported(tiny_bundle):
     x[cat.z_col(0, 0)] = 0.4
     report = validate_solution(model, x)
     assert any(tag.startswith("integrality_z_1_1") for tag, _ in report.entries)
+
+
+class _NamedColumns:
+    def col_name(self, j):
+        return f"x{j}"
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_empty_row_in_any_position_reads_zero(position):
+    rows = [
+        LinearConstraint((0, 1), (1.0, 2.0), LESS, 3.0, "pair"),
+        LinearConstraint((1,), (1.0,), GREATER, 0.5, "single"),
+    ]
+    rows.insert(position, LinearConstraint((), (), GREATER, 1.0, "empty"))
+    model = ModelInstance.from_constraints(
+        _NamedColumns(), rows, objective=np.zeros(2),
+        lower=np.zeros(2), upper=np.ones(2), binary=np.zeros(2, dtype=bool),
+    )
+    x = np.array([1.0, 1.0])
+    expected = [3.0, 1.0]
+    expected.insert(position, 0.0)
+    assert model.row_values(x).tolist() == expected
+    assert validate_solution(model, x).entries == (("empty", 1.0),)
 
 
 class _FakeSolution:

@@ -67,6 +67,29 @@ def test_three_active_clusters_per_slot(modcod, seed):
     _check(build_bh_model(scenario, rates, pairs))
 
 
+# Three carriers per cluster and one user per cluster: brute_force stays at
+# 6 count vectors x 7^2 carrier sets (delta_max = 2).
+THREE_CARRIERS = dict(
+    num_beams=2, num_clusters=2, beams_per_cluster=1, carriers_per_cluster=3,
+    active_clusters_per_slot=1, slots_per_window=2, users_per_beam=1,
+)
+
+
+@pytest.mark.parametrize("delta_max", [1, 2])
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS)
+def test_three_carriers_per_cluster(modcod, seed, delta_max):
+    config = SystemConfig(rng_seed=seed, delta_max=delta_max, **THREE_CARRIERS)
+    scenario, rates, pairs, model = make_bundle(config, modcod)
+    assert model.catalog.num_carriers == 3
+    _check(model)
+    cat = model.catalog
+    a = solve_milp(model).values[cat.off_a:cat.off_beta].reshape(
+        cat.num_clusters, cat.num_carriers, cat.num_users)
+    assert a.sum(axis=1).max() <= delta_max
+    _check(build_bh_model(scenario, rates, pairs))
+
+
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(seed=SEEDS)
 def test_large_fill_floor(modcod, seed):

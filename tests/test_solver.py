@@ -219,8 +219,8 @@ def test_brute_force_requires_planner_model():
         def col_name(self, j):
             return "x"
 
-    model = ModelInstance(
-        catalog=MiniCatalog(), constraints=rows, objective=np.ones(1),
+    model = ModelInstance.from_constraints(
+        MiniCatalog(), rows, objective=np.ones(1),
         lower=np.zeros(1), upper=np.ones(1), binary=np.ones(1, dtype=bool),
     )
     with pytest.raises(ValueError, match="planner model"):
@@ -239,8 +239,8 @@ def test_infeasible_generic_model_reports_infeasible():
         def col_name(self, j):
             return "x"
 
-    model = ModelInstance(
-        catalog=MiniCatalog(), constraints=rows, objective=np.ones(1),
+    model = ModelInstance.from_constraints(
+        MiniCatalog(), rows, objective=np.ones(1),
         lower=np.zeros(1), upper=np.ones(1), binary=np.ones(1, dtype=bool),
     )
     sol = solve_milp(model)
