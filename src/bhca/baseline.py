@@ -44,12 +44,7 @@ def cluster_slot_capacity(scenario: Scenario, rates: RateTable) -> np.ndarray:
     return caps
 
 
-def build_bh_model(
-    scenario: Scenario,
-    rates: RateTable,
-    pairs,
-    epsilon_tiebreak: float = DEFAULT_EPSILON_TIEBREAK,
-) -> ModelInstance:
+def build_bh_model(scenario: Scenario, rates: RateTable, pairs) -> ModelInstance:
     """Stage-1 model: maximize the worst cluster ratio over illumination only.
 
     Rows: per-cluster ratio floors, the per-slot activation cap, and pairwise
@@ -78,7 +73,7 @@ def build_bh_model(
 
     objective = np.zeros(cat.num_cols)
     objective[cat.theta_col] = 1.0
-    objective[z] = epsilon_tiebreak * ratio[:, None]
+    objective[z] = DEFAULT_EPSILON_TIEBREAK * ratio[:, None]
 
     lower = np.zeros(cat.num_cols)
     upper = np.ones(cat.num_cols)
@@ -93,7 +88,6 @@ def build_bh_model(
         lower=lower,
         upper=upper,
         binary=binary,
-        epsilon_tiebreak=epsilon_tiebreak,
         rate_per_slot=caps,
         demand=demand,
         pairs=frozenset(sorted_pairs),
@@ -136,10 +130,6 @@ class BhPlan:
     cluster_supply: np.ndarray   # (L,)
     min_cluster_ratio: float     # stage-1 theta
     stage1: MilpSolution
-
-    @property
-    def schedule(self) -> tuple[tuple[int, ...], ...]:
-        return self.slots_per_cluster
 
     def to_dict(self) -> dict:
         return {

@@ -1,13 +1,14 @@
-"""CPLEX-LP-format export and a matching reader for round-trip checks.
+"""CPLEX-LP-format export and a reader of that output for round-trip checks.
 
 The writer is byte-stable for a fixed model: fixed section order
 (Maximize / Subject To / Bounds / Binaries / End), constraint names taken
 from the row tags, coefficients rendered with ``repr`` so parsing recovers
-them exactly, and long rows folded at a fixed width.
+them exactly, and long rows folded at a fixed width. The reader accepts
+only the constructs the writer emits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +48,15 @@ def _col_names(model: ModelInstance) -> list[str]:
     return [cat.col_name(j) for j in range(model.num_cols)]
 
 
-def export_lp(model: ModelInstance, name: str = "bhca") -> str:
+def _bound_cols(model: ModelInstance) -> np.ndarray:
+    """Columns the Bounds section lists: non-binary, not ``[0, inf)``."""
+    return np.nonzero(~model.binary & ((model.lower != 0.0) | (model.upper != np.inf)))[0]
+
+
+def export_lp(model: ModelInstance) -> str:
     """Render the model as CPLEX-LP text; repeated calls are byte-identical."""
     names = _col_names(model)
-    out = [f"\\ Problem: {name}"]
+    out = ["\\ Problem: bhca"]
 
     obj_cols = np.nonzero(model.objective)[0].tolist()
     out.append("Maximize")
@@ -73,7 +79,7 @@ def export_lp(model: ModelInstance, name: str = "bhca") -> str:
             out.extend(_fold(f" {tag}:", tokens))
 
     out.append("Bounds")
-    shown = np.nonzero(~model.binary & ((model.lower != 0.0) | (model.upper != np.inf)))[0]
+    shown = _bound_cols(model)
     lows, highs = model.lower[shown].tolist(), model.upper[shown].tolist()
     bound_txt = {v: _num(v) for v in {*lows, *highs} if v != np.inf}
     for j, lo, hi in zip(shown.tolist(), lows, highs):
@@ -92,14 +98,16 @@ def export_lp(model: ModelInstance, name: str = "bhca") -> str:
 
 @dataclass
 class ParsedLp:
-    """Structured view of an LP document, for comparisons and rebuilds."""
+    """Structured view of an LP document, for comparisons and rebuilds.
 
-    sense: str
+    ``constraints`` maps each row name to ``(terms, sense, rhs)`` in
+    document order; ``bounds`` holds the Bounds lines as ``(lo, hi)``.
+    """
+
     objective: dict[str, float]
     constraints: dict[str, tuple[tuple[tuple[str, float], ...], str, float]]
     bounds: dict[str, tuple[float, float]]
     binaries: tuple[str, ...]
-    constraint_order: tuple[str, ...] = field(default=())
 
     def canonical_rows(self):
         return {
@@ -108,15 +116,7 @@ class ParsedLp:
         }
 
 
-_SECTION_ALIASES = {
-    "maximize": "objective", "maximise": "objective", "max": "objective",
-    "minimize": "objective_min", "minimise": "objective_min", "min": "objective_min",
-    "subject": "constraints", "st": "constraints", "s.t.": "constraints", "such": "constraints",
-    "bounds": "bounds", "bound": "bounds",
-    "binaries": "binaries", "binary": "binaries", "bin": "binaries",
-    "generals": "generals", "general": "generals", "gen": "generals",
-    "end": "end",
-}
+_SECTIONS = ("Maximize", "Subject To", "Bounds", "Binaries", "End")
 
 
 def _accumulate_terms(tokens: list[str]) -> dict[str, float]:
@@ -149,96 +149,75 @@ def _accumulate_terms(tokens: list[str]) -> dict[str, float]:
 
 
 def parse_lp(text: str) -> ParsedLp:
-    """Parse the subset of CPLEX-LP documents produced by export_lp."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].rstrip()
-        if line.strip():
-            lines.append(line)
+    """Parse an LP document in the form ``export_lp`` writes.
 
+    Section headers are the five ``export_lp`` writes, alone on a line at
+    column 0; every other line is indented. A row reads ``name: expr sense
+    rhs`` with sense ``<=``, ``>=`` or ``=`` and may fold onto following
+    lines; a bound reads ``lo <= x <= hi`` or ``x >= lo``. ``\\`` starts a
+    comment. Anything else raises ``ValueError``.
+    """
     section = None
-    sense = "max"
     objective_tokens: list[str] = []
     constraint_chunks: list[list[str]] = []
-    bounds_lines: list[str] = []
+    bounds_lines: list[list[str]] = []
     binary_tokens: list[str] = []
 
-    for line in lines:
-        word = line.strip().split()[0].lower().rstrip(":")
-        if word in _SECTION_ALIASES and (line[0] not in " \t" or section is None):
-            kind = _SECTION_ALIASES[word]
-            if kind == "objective_min":
-                sense = "min"
-                kind = "objective"
-            section = kind
-            rest = line.strip().split(None, 1)
-            if kind == "constraints" or len(rest) < 2:
-                continue
-            line = " " + rest[1]
-            if kind == "objective":
-                objective_tokens.extend(line.split())
-                continue
-        if section == "objective":
-            objective_tokens.extend(line.split())
-        elif section == "constraints":
-            if line[0] not in " \t" or ":" in line:
-                constraint_chunks.append(line.split())
+    for raw in text.splitlines():
+        line = raw.split("\\", 1)[0].rstrip()
+        if not line:
+            continue
+        if not line[0].isspace():
+            if line not in _SECTIONS:
+                raise ValueError(f"unknown section header: {line!r}")
+            section = line
+            continue
+        tokens = line.split()
+        if section == "Maximize":
+            objective_tokens.extend(tokens)
+        elif section == "Subject To":
+            if tokens[0].endswith(":"):
+                constraint_chunks.append(tokens)
             elif constraint_chunks:
-                constraint_chunks[-1].extend(line.split())
+                constraint_chunks[-1].extend(tokens)
             else:
                 raise ValueError(f"constraint continuation before any constraint: {line!r}")
-        elif section == "bounds":
-            bounds_lines.append(line.strip())
-        elif section == "binaries":
-            binary_tokens.extend(line.split())
-        elif section == "end" or section is None:
-            if line.strip():
-                raise ValueError(f"content outside any section: {line!r}")
+        elif section == "Bounds":
+            bounds_lines.append(tokens)
+        elif section == "Binaries":
+            binary_tokens.extend(tokens)
+        else:
+            raise ValueError(f"content outside any section: {line!r}")
 
     # Objective: strip the label.
     if objective_tokens and objective_tokens[0].endswith(":"):
         objective_tokens = objective_tokens[1:]
-    elif objective_tokens and objective_tokens[0] == "obj:":
-        objective_tokens = objective_tokens[1:]
     objective = _accumulate_terms(objective_tokens)
 
     constraints = {}
-    order = []
     for chunk in constraint_chunks:
-        if not chunk[0].endswith(":"):
-            raise ValueError(f"constraint without a name: {' '.join(chunk[:4])} ...")
         name = chunk[0][:-1]
         body = chunk[1:]
-        sense_pos = next((i for i, t in enumerate(body) if t in ("<=", ">=", "=", "<", ">")), None)
+        sense_pos = next((i for i, t in enumerate(body) if t in ("<=", ">=", "=")), None)
         if sense_pos is None or sense_pos != len(body) - 2:
             raise ValueError(f"constraint {name!r} lacks 'expr <sense> rhs' shape")
-        row_sense = {"<": "<=", ">": ">="}.get(body[sense_pos], body[sense_pos])
-        rhs = float(body[-1])
         terms = _accumulate_terms(body[:sense_pos])
-        constraints[name] = (tuple(terms.items()), row_sense, rhs)
-        order.append(name)
+        constraints[name] = (tuple(terms.items()), body[sense_pos], float(body[-1]))
 
     bounds = {}
-    for line in bounds_lines:
-        toks = line.split()
+    for toks in bounds_lines:
         if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
             bounds[toks[2]] = (float(toks[0]), float(toks[4]))
         elif len(toks) == 3 and toks[1] == ">=":
             bounds[toks[0]] = (float(toks[2]), float("inf"))
-        elif len(toks) == 3 and toks[1] == "<=":
-            bounds[toks[0]] = (0.0, float(toks[2]))
-        elif len(toks) == 2 and toks[1].lower() == "free":
-            bounds[toks[0]] = (float("-inf"), float("inf"))
         else:
-            raise ValueError(f"unsupported bounds line: {line!r}")
+            raise ValueError(f"unsupported bounds line: {' '.join(toks)!r}")
 
     return ParsedLp(
-        sense=sense,
         objective=objective,
         constraints=constraints,
         bounds=bounds,
         binaries=tuple(binary_tokens),
-        constraint_order=tuple(order),
     )
 
 
@@ -256,15 +235,15 @@ def model_canonical_rows(model: ModelInstance):
 
 
 def round_trip_matches(model: ModelInstance, parsed: ParsedLp) -> bool:
-    """True when the parsed document carries exactly the model's constraint set."""
-    want = model_canonical_rows(model)
-    got = parsed.canonical_rows()
-    if want != got:
+    """True when the parsed document carries exactly the model's objective,
+    rows, bounds and binaries."""
+    if parsed.canonical_rows() != model_canonical_rows(model):
         return False
-    cat = model.catalog
-    names = {cat.col_name(j): j for j in range(model.num_cols)}
-    obj = {name: model.objective[j] for name, j in names.items() if model.objective[j] != 0.0}
-    if parsed.objective != obj or parsed.sense != "max":
-        return False
-    want_bin = {cat.col_name(j) for j in range(model.num_cols) if model.binary[j]}
-    return set(parsed.binaries) == want_bin
+    names = _col_names(model)
+    obj_cols = np.nonzero(model.objective)[0].tolist()
+    bound_cols = _bound_cols(model).tolist()
+    return (
+        parsed.objective == {names[j]: model.objective[j] for j in obj_cols}
+        and parsed.bounds == {names[j]: (model.lower[j], model.upper[j]) for j in bound_cols}
+        and set(parsed.binaries) == {names[j] for j in np.nonzero(model.binary)[0].tolist()}
+    )

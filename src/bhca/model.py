@@ -8,7 +8,6 @@ stable ``C1..C9`` tags so audits and the LP export can name every row.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import operator
@@ -164,10 +163,6 @@ class LinearConstraint:
     rhs: float
     tag: str
 
-    @property
-    def coefficients(self) -> dict[int, float]:
-        return dict(zip(self.cols, self.coefs))
-
 
 def index_labels(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{k + 1}" for k in range(n))
@@ -277,7 +272,6 @@ class ModelInstance:
     binary: np.ndarray
     epsilon_fill: float = DEFAULT_EPSILON_FILL
     epsilon_tiebreak: float = DEFAULT_EPSILON_TIEBREAK
-    big_m: float = 1.0
     # Provenance data for decoding, solving and the oracle (per cluster in baseline models).
     rate_per_slot: np.ndarray | None = None
     demand: np.ndarray | None = None
@@ -315,29 +309,6 @@ class ModelInstance:
         out = np.add.reduceat(prods, self.indptr[:-1])
         out[self.indptr[:-1] == self.indptr[1:]] = 0.0
         return out
-
-    def canonical_text(self) -> str:
-        """Stable text rendering of the whole model, used for golden hashes."""
-        lines = []
-        obj_terms = ",".join(
-            f"{j}:{self.objective[j]!r}" for j in np.nonzero(self.objective)[0]
-        )
-        lines.append(f"obj|{obj_terms}")
-        terms = [f"{c}:{v!r}" for c, v in zip(self.cols.tolist(), self.coefs.tolist())]
-        ptr = self.indptr.tolist()
-        for tag, sense, rhs, start, stop in zip(
-            self.tags, self.senses.tolist(), self.rhs.tolist(), ptr[:-1], ptr[1:]
-        ):
-            lines.append(f"{tag}|{sense}|{rhs!r}|{','.join(terms[start:stop])}")
-        bounds = ",".join(
-            f"{j}:{self.lower[j]!r}:{self.upper[j]!r}:{int(self.binary[j])}"
-            for j in range(self.num_cols)
-        )
-        lines.append(f"bounds|{bounds}")
-        return "\n".join(lines) + "\n"
-
-    def matrix_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
 def build_model(
@@ -409,8 +380,7 @@ def build_model(
     sorted_pairs = sorted(tuple(p) for p in pairs)
     rows.add_exclusions(sorted_pairs, z, ts)
     # C7: fill-rate active exactly when the carrier is assigned (big-M = 1).
-    big_m = 1.0
-    rows.add("C7a", (ls, cs, us), _terms(beta, a), [1.0, -big_m], LESS, 0.0)
+    rows.add("C7a", (ls, cs, us), _terms(beta, a), [1.0, -1.0], LESS, 0.0)
     rows.add("C7b", (ls, cs, us), _terms(beta, a), [1.0, -1.0], GREATER, epsilon_fill - 1.0)
     # C8: theta sits below every ratio floor.
     rows.add("C8a", (ls,), _terms(cat.theta_col, tu), [1.0, -1.0], LESS, 0.0)
@@ -436,7 +406,6 @@ def build_model(
         binary=cat.binary_mask(),
         epsilon_fill=epsilon_fill,
         epsilon_tiebreak=epsilon_tiebreak,
-        big_m=big_m,
         rate_per_slot=R,
         demand=demand,
         pairs=frozenset(sorted_pairs),
@@ -455,10 +424,6 @@ class ViolationReport:
     def empty(self) -> bool:
         return not self.entries
 
-    @property
-    def max_violation(self) -> float:
-        return max((v for _, v in self.entries), default=0.0)
-
     def __str__(self) -> str:
         if self.empty:
             return "no violations"
@@ -467,28 +432,36 @@ class ViolationReport:
         return f"{len(self.entries)} violation(s): {head}"
 
 
-def validate_solution(model: ModelInstance, assignment: np.ndarray, tol: float = VALIDATION_TOL) -> ViolationReport:
-    """Audit an assignment against every row, bound, and binary of the model."""
+def validate_solution(model: ModelInstance, assignment: np.ndarray) -> ViolationReport:
+    """Audit an assignment against every row, bound, and binary of the model.
+
+    An assignment with non-finite entries is reported by those entries alone.
+    """
     x = np.asarray(assignment, dtype=float)
     if x.shape != (model.num_cols,):
         raise StructuralError(
             f"assignment covers {x.shape} columns, model has {model.num_cols}"
         )
+    nonfinite = np.nonzero(~np.isfinite(x))[0]
+    if nonfinite.size:
+        return ViolationReport(entries=tuple(
+            (f"nonfinite_{model.catalog.col_name(j)}", math.inf) for j in nonfinite.tolist()
+        ))
     lhs = model.row_values(x)
     excess = np.where(
         model.senses == LESS, lhs - model.rhs,
         np.where(model.senses == GREATER, model.rhs - lhs, np.abs(lhs - model.rhs)),
     )
-    violated = np.nonzero(excess > tol)[0]
+    violated = np.nonzero(excess > VALIDATION_TOL)[0]
     entries = [(model.tags[i], v) for i, v in zip(violated.tolist(), excess[violated].tolist())]
     low_viol = model.lower - x
     up_viol = x - model.upper
-    for j in np.nonzero(low_viol > tol)[0]:
+    for j in np.nonzero(low_viol > VALIDATION_TOL)[0]:
         entries.append((f"bound_{model.catalog.col_name(int(j))}", float(low_viol[j])))
-    for j in np.nonzero(up_viol > tol)[0]:
+    for j in np.nonzero(up_viol > VALIDATION_TOL)[0]:
         entries.append((f"bound_{model.catalog.col_name(int(j))}", float(up_viol[j])))
     frac = np.abs(x - np.round(x))
-    for j in np.nonzero(model.binary & (frac > tol))[0]:
+    for j in np.nonzero(model.binary & (frac > VALIDATION_TOL))[0]:
         entries.append((f"integrality_{model.catalog.col_name(int(j))}", float(frac[j])))
     return ViolationReport(entries=tuple(entries))
 

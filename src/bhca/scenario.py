@@ -155,11 +155,17 @@ REQUIRED_CONFIG_KEYS = (
 )
 
 
+# SystemConfig's integer fields; every other field is a float. The
+# annotations are strings under ``from __future__ import annotations``.
+_INT_FIELDS = frozenset(f.name for f in fields(SystemConfig) if f.type in ("int", int))
+
+
 def config_from_dict(doc: dict) -> SystemConfig:
     """Build a SystemConfig from a parsed JSON document.
 
     Raises ConfigError naming the offending key when a required key is
-    missing or an unknown key is present.
+    missing, an unknown key is present, or a value has the wrong JSON type:
+    integer fields take JSON integers, the others any finite JSON number.
     """
     known = {f.name for f in fields(SystemConfig)}
     missing = [k for k in REQUIRED_CONFIG_KEYS if k not in doc]
@@ -168,14 +174,14 @@ def config_from_dict(doc: dict) -> SystemConfig:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigError("unknown config key: " + ", ".join(unknown))
-    int_fields = {
-        "num_beams", "num_clusters", "beams_per_cluster", "carriers_per_cluster",
-        "num_transponders", "active_clusters_per_slot", "slots_per_window",
-        "delta_max", "rng_seed", "users_per_beam",
-    }
     kwargs = {}
     for key, value in doc.items():
-        kwargs[key] = int(value) if key in int_fields else float(value)
+        integer = key in _INT_FIELDS
+        number = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+        if not number or not (integer or math.isfinite(value)):
+            kind = "an integer" if integer else "a finite number"
+            raise ConfigError(f"config key {key} must be {kind}, got {json.dumps(value)}")
+        kwargs[key] = value if integer else float(value)
     return SystemConfig(**kwargs)
 
 

@@ -21,6 +21,8 @@ AT_UPPER = 1
 BASIC = 2
 
 PIVOT_TOL = 1e-9
+# A reported optimum whose worst row or bound violation exceeds this is a bug.
+RESIDUAL_TOL = 1e-7
 
 
 @dataclass
@@ -31,17 +33,8 @@ class LpSolution:
     iterations: int = 0
 
 
-def solve_dense(
-    c,
-    A,
-    senses,
-    b,
-    lower,
-    upper,
-    maximize: bool = True,
-    feas_tol: float = 1e-8,
-) -> LpSolution:
-    """Solve max/min c.x s.t. A x (senses) b, lower <= x <= upper."""
+def solve_dense(c, A, senses, b, lower, upper) -> LpSolution:
+    """Solve max c.x s.t. A x (senses) b, lower <= x <= upper."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -58,7 +51,6 @@ def solve_dense(
     shift = lo.copy()
     rng_up = np.maximum(up - lo, 0.0)
     b_shift = b - A @ shift
-    cw = c if maximize else -c
 
     # Row equilibration.
     scale = np.abs(A).max(axis=1) if n else np.ones(m)
@@ -120,7 +112,7 @@ def solve_dense(
         ub_ext[n + n_slack:] = 0.0
 
     c_ext = np.zeros(total)
-    c_ext[:n] = cw
+    c_ext[:n] = c
     zrow = c_ext - c_ext[basis] @ T
     zrow[basis] = 0.0
     status, iters = _iterate(T, rhs, zrow, basis, vstat, ub_ext)
@@ -136,7 +128,7 @@ def solve_dense(
     objective = float(c @ x)
 
     residual = _max_violation(A, senses, b, lo, up, x)
-    if residual > 10.0 * max(feas_tol, 1e-9):
+    if residual > RESIDUAL_TOL:
         raise RuntimeError(
             f"simplex returned an infeasible optimum (max violation {residual:.3e})"
         )

@@ -38,19 +38,17 @@ import numpy as np
 from .model import BaselineCatalog, ModelInstance, VariableCatalog
 from .simplex import LpSolution, solve_dense
 
+# An integer column within this distance of an integer counts as integral,
+# and a gap this small counts as closed.
+INTEGRALITY_TOL = 1e-6
+
 
 @dataclass
 class SolverOptions:
-    integrality_tol: float = 1e-6
-    feas_tol: float = 1e-8
     node_limit: int = 1_000_000
     time_limit: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.integrality_tol <= 1e-3:
-            raise ValueError("integrality_tol must be in (0, 1e-3]")
-        if not 0.0 < self.feas_tol <= 1e-3:
-            raise ValueError("feas_tol must be in (0, 1e-3]")
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
 
@@ -83,7 +81,7 @@ class _Search:
         )
 
     def lp(self, c, A, senses, b, lo, hi) -> LpSolution:
-        sol = solve_dense(c, A, senses, b, lo, hi, feas_tol=self.opts.feas_tol)
+        sol = solve_dense(c, A, senses, b, lo, hi)
         if sol.status == "unbounded":
             raise RuntimeError("LP relaxation unbounded: the model is malformed")
         self.nodes += 1
@@ -102,10 +100,9 @@ class _Search:
         wall = time.perf_counter() - self.start
         if objective == -np.inf:
             return MilpSolution(x, -np.inf, "infeasible", self.nodes, wall, np.inf)
-        tol = self.opts.integrality_tol
         gap = self.gap(objective)
-        if complete or gap <= tol:
-            return MilpSolution(x, float(objective), "optimal", self.nodes, wall, min(gap, tol))
+        if complete or gap <= INTEGRALITY_TOL:
+            return MilpSolution(x, float(objective), "optimal", self.nodes, wall, min(gap, INTEGRALITY_TOL))
         return MilpSolution(x, float(objective), "feasible", self.nodes, wall, gap)
 
 
@@ -121,7 +118,7 @@ def _branch_and_bound(search: _Search, c, A, senses, b, lo, hi, tiers,
     ``publish`` the objective is the solve's own, so the search's bounds and
     incumbents feed the node log.
     """
-    tol = search.opts.integrality_tol
+    tol = INTEGRALITY_TOL
     integer = np.concatenate([np.zeros(0, dtype=np.int64), *tiers])
     best_x, best = None, incumbent
     order = itertools.count(1)
@@ -162,19 +159,10 @@ def _dense(model: ModelInstance):
     return A, model.senses, model.rhs
 
 
-def solve_lp(model: ModelInstance, fixings: dict[int, tuple[float, float]] | None = None) -> LpSolution:
-    """Solve the model's LP relaxation (binaries relaxed to [0,1]).
-    ``fixings`` narrows column bounds, e.g. ``{j: (1.0, 1.0)}``."""
-    lo = model.lower.copy()
-    hi = model.upper.copy()
-    if fixings:
-        for j, (l, h) in fixings.items():
-            if l > h:
-                raise ValueError(f"fixing for column {j} has lo > hi")
-            lo[j] = max(lo[j], l)
-            hi[j] = min(hi[j], h)
+def solve_lp(model: ModelInstance) -> LpSolution:
+    """Solve the model's LP relaxation (binaries relaxed to [0,1])."""
     A, senses, b = _dense(model)
-    return solve_dense(model.objective, A, senses, b, lo, hi)
+    return solve_dense(model.objective, A, senses, b, model.lower, model.upper)
 
 
 def branch_and_bound(model: ModelInstance, options: SolverOptions | None = None, log=None) -> MilpSolution:

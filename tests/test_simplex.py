@@ -7,12 +7,16 @@ INF = float("inf")
 
 
 def lp(c, A, senses, b, lower=None, upper=None, maximize=True):
-    c = np.asarray(c, dtype=float)
+    """solve_dense always maximises; a minimisation maximises -c."""
+    sign = 1.0 if maximize else -1.0
+    c = sign * np.asarray(c, dtype=float)
     n = c.size
     lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
     upper = np.full(n, INF) if upper is None else np.asarray(upper, dtype=float)
-    return solve_dense(c, np.asarray(A, dtype=float), senses, np.asarray(b, dtype=float),
-                       lower, upper, maximize=maximize)
+    sol = solve_dense(c, np.asarray(A, dtype=float), senses, np.asarray(b, dtype=float),
+                      lower, upper)
+    sol.objective *= sign
+    return sol
 
 
 def test_single_row_maximum():
