@@ -52,7 +52,8 @@ for fam in sorted(families):
     print(f"  {fam:4s} x{families[fam]:3d}  {meanings.get(fam, '')}")
 print()
 
-nz = [(cat.col_name(j), model.objective[j]) for j in range(model.num_cols) if model.objective[j]]
+names = cat.col_names()
+nz = [(names[j], v) for j, v in enumerate(model.objective.tolist()) if v]
 print("objective (maximize):", " + ".join(f"{v:g} {n}" for n, v in nz))
 print()
 

@@ -8,6 +8,7 @@ only the constructs the writer emits.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,29 +24,54 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
-def _fold(prefix: str, tokens: list[str]) -> list[str]:
-    lines = []
-    current = prefix
-    for tok in tokens:
-        if len(current) + len(tok) + 1 > _FOLD_WIDTH and current != prefix:
-            lines.append(current)
-            current = " "
-        current += " " + tok
-    lines.append(current)
-    return lines
+def _signed(x: float) -> str:
+    """A term's coefficient piece ``" + 2 "``; the name follows it."""
+    return f" {'+' if x >= 0 else '-'} {_num(abs(x))} "
 
 
-def _terms(cols, coefs, names) -> list[str]:
-    tokens = []
-    for col, coef in zip(cols, coefs):
-        sign = "+" if coef >= 0 else "-"
-        tokens.extend([sign, _num(abs(coef)), names[col]])
-    return tokens
+def _lengths(strings) -> np.ndarray:
+    """``len`` of each string, as an int64 array."""
+    return np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
 
 
-def _col_names(model: ModelInstance) -> list[str]:
-    cat = model.catalog
-    return [cat.col_name(j) for j in range(model.num_cols)]
+def _distinct(values: np.ndarray, render) -> tuple[np.ndarray, np.ndarray]:
+    """``render(v)`` for every entry of ``values``, called once per distinct
+    value: the strings as an object array, and their lengths."""
+    # Asking for the index makes np.unique sort stably, which is several
+    # times faster on the long runs of equal values that model rows hold.
+    distinct, _, inverse = np.unique(values, return_index=True, return_inverse=True)
+    text = np.array([render(v) for v in distinct.tolist()], dtype=object)
+    return text[inverse], _lengths(text)[inverse]
+
+
+def _interleave(*columns) -> str:
+    """``columns[0][0] + columns[1][0] + ... + columns[0][1] + ...`` in one join."""
+    pieces = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        pieces[:, k] = column
+    return "".join(pieces.ravel().tolist())
+
+
+def _fold(text: str, prefix_len: int) -> str:
+    """``text``, a prefix and then space-led tokens, broken into lines of at
+    most ``_FOLD_WIDTH`` characters.
+
+    Each line takes as many tokens as fit, and at least one; a continuation
+    line starts with one more space. Each line is a slice of ``text``.
+    """
+    # ends[k] is where token k ends, ends[0] where the prefix ends. A token
+    # ends where the next one's leading space is.
+    codes = np.frombuffer(text[prefix_len:].encode("utf-32-le"), dtype=np.uint32)
+    starts = np.flatnonzero(codes == ord(" ")) + prefix_len
+    ends = [prefix_len, *starts[1:].tolist(), len(text)]
+    lines, begin, token, limit = [], 0, 0, _FOLD_WIDTH
+    while True:
+        last = max(bisect.bisect_right(ends, limit) - 1, token + 1)
+        if last >= len(ends) - 1:
+            lines.append(text[begin:])
+            return "\n ".join(lines)
+        lines.append(text[begin:ends[last]])
+        begin, token, limit = ends[last], last, ends[last] + _FOLD_WIDTH - 1
 
 
 def _bound_cols(model: ModelInstance) -> np.ndarray:
@@ -53,47 +79,78 @@ def _bound_cols(model: ModelInstance) -> np.ndarray:
     return np.nonzero(~model.binary & ((model.lower != 0.0) | (model.upper != np.inf)))[0]
 
 
+def _rows_text(model: ModelInstance, names: np.ndarray) -> list[str]:
+    """The Subject To lines: one gather of the pieces ``" ", tag, ":",
+    (coefficient, name) x k, sense, rhs`` of every row, one join, then a fold
+    of each row wider than ``_FOLD_WIDTH``."""
+    m, nnz = model.num_rows, model.cols.shape[0]
+    starts, stops = model.indptr[:-1], model.indptr[1:]
+    rows = np.arange(m)
+    tags = np.fromiter(model.tags, dtype=object, count=m)
+    coef_txt, coef_len = _distinct(model.coefs, _signed)
+    sense_txt, sense_len = _distinct(model.senses, lambda s: f" {s} ")
+    rhs_txt, rhs_len = _distinct(model.rhs, lambda v: _num(v) + "\n")
+
+    # Row i fills pieces [5i + 2 starts[i], 5(i + 1) + 2 stops[i]).
+    pieces = np.empty(5 * m + 2 * nnz, dtype=object)
+    row_at = 5 * rows + 2 * starts
+    tail_at = 5 * rows + 2 * stops + 3
+    term_at = np.arange(3, 2 * nnz + 3, 2) + 5 * np.repeat(rows, stops - starts)
+    pieces[row_at] = " "
+    pieces[row_at + 1] = tags
+    pieces[row_at + 2] = ":"
+    pieces[term_at] = coef_txt
+    pieces[term_at + 1] = names[model.cols]
+    pieces[tail_at] = sense_txt
+    pieces[tail_at + 1] = rhs_txt
+    text = "".join(pieces.tolist())
+
+    # Line lengths without the newline; each row's text starts after the
+    # previous row's newline.
+    head_len = _lengths(tags) + 2
+    term_len = coef_len + _lengths(names)[model.cols]
+    term_end = np.concatenate([[0], np.cumsum(term_len, dtype=np.int64)])
+    line_len = head_len + term_end[stops] - term_end[starts] + sense_len + rhs_len - 1
+    line_at = np.concatenate([[0], np.cumsum(line_len + 1, dtype=np.int64)])
+    parts, done = [], 0
+    for i in np.nonzero(line_len > _FOLD_WIDTH)[0].tolist():
+        begin, end = int(line_at[i]), int(line_at[i] + line_len[i])
+        parts += [text[done:begin], _fold(text[begin:end], int(head_len[i]))]
+        done = end
+    parts.append(text[done:])
+    return parts
+
+
 def export_lp(model: ModelInstance) -> str:
     """Render the model as CPLEX-LP text; repeated calls are byte-identical."""
-    names = _col_names(model)
-    out = ["\\ Problem: bhca"]
+    names = np.array(model.catalog.col_names(), dtype=object)
+    out = ["\\ Problem: bhca\nMaximize\n"]
 
-    obj_cols = np.nonzero(model.objective)[0].tolist()
-    out.append("Maximize")
-    out.extend(_fold(" obj:", _terms(obj_cols, model.objective[obj_cols].tolist(), names)))
+    obj_cols = np.nonzero(model.objective)[0]
+    obj_txt, _ = _distinct(model.objective[obj_cols], _signed)
+    out.append(_fold(" obj:" + _interleave(obj_txt, names[obj_cols]), 5) + "\n")
 
-    # Each row is rendered from its term strings, and every number once per
-    # distinct value. A row wider than _FOLD_WIDTH is folded.
-    out.append("Subject To")
-    coefs, rhs = model.coefs.tolist(), model.rhs.tolist()
-    signed = {v: f" {'+' if v >= 0 else '-'} {_num(abs(v))} " for v in set(coefs)}
-    terms = [signed[v] + names[c] for v, c in zip(coefs, model.cols.tolist())]
-    rhs_txt = {v: _num(v) for v in set(rhs)}
-    ptr = model.indptr.tolist()
-    for tag, sense, b, start, stop in zip(model.tags, model.senses.tolist(), rhs, ptr[:-1], ptr[1:]):
-        line = f" {tag}:{''.join(terms[start:stop])} {sense} {rhs_txt[b]}"
-        if len(line) <= _FOLD_WIDTH:
-            out.append(line)
-        else:
-            tokens = "".join(terms[start:stop]).split() + [sense, rhs_txt[b]]
-            out.extend(_fold(f" {tag}:", tokens))
+    out.append("Subject To\n")
+    out.extend(_rows_text(model, names))
 
-    out.append("Bounds")
+    out.append("Bounds\n")
     shown = _bound_cols(model)
-    lows, highs = model.lower[shown].tolist(), model.upper[shown].tolist()
-    bound_txt = {v: _num(v) for v in {*lows, *highs} if v != np.inf}
-    for j, lo, hi in zip(shown.tolist(), lows, highs):
-        if hi == np.inf:
-            out.append(f" {names[j]} >= {bound_txt[lo]}")
-        else:
-            out.append(f" {bound_txt[lo]} <= {names[j]} <= {bound_txt[hi]}")
+    lows, highs = model.lower[shown], model.upper[shown]
+    finite = highs != np.inf
+    before = np.full(shown.size, " ", dtype=object)
+    after = np.empty(shown.size, dtype=object)
+    before[finite] = _distinct(lows[finite], lambda v: f" {_num(v)} <= ")[0]
+    after[finite] = _distinct(highs[finite], lambda v: f" <= {_num(v)}\n")[0]
+    after[~finite] = _distinct(lows[~finite], lambda v: f" >= {_num(v)}\n")[0]
+    out.append(_interleave(before, names[shown], after))
 
-    binaries = [names[j] for j in np.nonzero(model.binary)[0].tolist()]
-    if binaries:
-        out.append("Binaries")
-        out.extend(_fold("", binaries))
-    out.append("End")
-    return "\n".join(out) + "\n"
+    binaries = np.nonzero(model.binary)[0]
+    if binaries.size:
+        out.append("Binaries\n")
+        line = _interleave(np.full(binaries.size, " ", dtype=object), names[binaries])
+        out.append(_fold(line, 0) + "\n")
+    out.append("End\n")
+    return "".join(out)
 
 
 @dataclass
@@ -155,7 +212,8 @@ def parse_lp(text: str) -> ParsedLp:
     column 0; every other line is indented. A row reads ``name: expr sense
     rhs`` with sense ``<=``, ``>=`` or ``=`` and may fold onto following
     lines; a bound reads ``lo <= x <= hi`` or ``x >= lo``. ``\\`` starts a
-    comment. Anything else raises ``ValueError``.
+    comment. Anything else, and a row name or a bounded variable that
+    appears twice, raises ``ValueError``.
     """
     section = None
     objective_tokens: list[str] = []
@@ -201,17 +259,22 @@ def parse_lp(text: str) -> ParsedLp:
         sense_pos = next((i for i, t in enumerate(body) if t in ("<=", ">=", "=")), None)
         if sense_pos is None or sense_pos != len(body) - 2:
             raise ValueError(f"constraint {name!r} lacks 'expr <sense> rhs' shape")
+        if name in constraints:
+            raise ValueError(f"constraint {name!r} appears twice")
         terms = _accumulate_terms(body[:sense_pos])
         constraints[name] = (tuple(terms.items()), body[sense_pos], float(body[-1]))
 
     bounds = {}
     for toks in bounds_lines:
         if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-            bounds[toks[2]] = (float(toks[0]), float(toks[4]))
+            name, bound = toks[2], (float(toks[0]), float(toks[4]))
         elif len(toks) == 3 and toks[1] == ">=":
-            bounds[toks[0]] = (float(toks[2]), float("inf"))
+            name, bound = toks[0], (float(toks[2]), float("inf"))
         else:
             raise ValueError(f"unsupported bounds line: {' '.join(toks)!r}")
+        if name in bounds:
+            raise ValueError(f"bounds of {name!r} appear twice")
+        bounds[name] = bound
 
     return ParsedLp(
         objective=objective,
@@ -223,7 +286,7 @@ def parse_lp(text: str) -> ParsedLp:
 
 def model_canonical_rows(model: ModelInstance):
     """The model's rows in the same comparable shape ParsedLp produces."""
-    names = _col_names(model)
+    names = model.catalog.col_names()
     cols, coefs, ptr = model.cols.tolist(), model.coefs.tolist(), model.indptr.tolist()
     rows = {}
     for tag, sense, rhs, start, stop in zip(
@@ -239,7 +302,7 @@ def round_trip_matches(model: ModelInstance, parsed: ParsedLp) -> bool:
     rows, bounds and binaries."""
     if parsed.canonical_rows() != model_canonical_rows(model):
         return False
-    names = _col_names(model)
+    names = model.catalog.col_names()
     obj_cols = np.nonzero(model.objective)[0].tolist()
     bound_cols = _bound_cols(model).tolist()
     return (

@@ -115,6 +115,21 @@ class VariableCatalog:
             return "theta"
         raise IndexError(j)
 
+    def col_names(self) -> list[str]:
+        """``col_name(j)`` of every column, in column order."""
+        ls, cs, us, ts = (
+            index_labels("", n)
+            for n in (self.num_clusters, self.num_carriers, self.num_users, self.num_slots)
+        )
+        return np.concatenate([
+            _label_product("a", (ls, cs, us)),
+            _label_product("beta", (ls, cs, us)),
+            _label_product("q", (ls, cs, us, ts)),
+            _label_product("z", (ls, ts)),
+            _label_product("tU", (ls,)),
+            np.array(["tL", "theta"], dtype=object),
+        ]).tolist()
+
     def lower(self) -> np.ndarray:
         return np.zeros(self.num_cols)
 
@@ -149,6 +164,11 @@ class BaselineCatalog:
             return f"z_{l + 1}_{t + 1}"
         return "theta"
 
+    def col_names(self) -> list[str]:
+        """``col_name(j)`` of every column, in column order."""
+        z = _label_product("z", (index_labels("", self.num_clusters), index_labels("", self.num_slots)))
+        return [*z.tolist(), "theta"]
+
 
 @dataclass(frozen=True)
 class LinearConstraint:
@@ -168,12 +188,27 @@ def index_labels(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{k + 1}" for k in range(n))
 
 
+def _label_product(head: str, axes) -> np.ndarray:
+    """``head_<label>_<label>...`` for every cell of the grid spanned by
+    ``axes`` (tuples of labels), in row-major order, as an object array.
+
+    Each axis appends its labels to every name built so far, so no name
+    is joined from its parts one by one.
+    """
+    names = np.array([head], dtype=object)
+    for axis in axes:
+        labels = np.array(["_" + label for label in axis], dtype=object)
+        names = (names[:, None] + labels).ravel()
+    return names
+
+
 class RowTags(Sequence):
     """Row names of an assembled model, rendered on demand.
 
     Each block names a run of rows ``family_<label>_<label>...``, one label
     per axis, in row-major order over the axes; an axis is a tuple of label
-    strings. A row's name is only built when it is read.
+    strings. Names are built only when read: one at a time by index, a block
+    at a time by iteration.
     """
 
     def __init__(self, blocks):
@@ -196,9 +231,9 @@ class RowTags(Sequence):
         return "_".join([family, *(axis[k] for axis, k in zip(axes, idx))])
 
     def __iter__(self):
-        for family, axes in self._blocks:
-            for labels in itertools.product(*axes):
-                yield "_".join((family, *labels))
+        return itertools.chain.from_iterable(
+            _label_product(family, axes).tolist() for family, axes in self._blocks
+        )
 
 
 class RowBuilder:

@@ -8,7 +8,9 @@ from bhca.cli import resolve_config_path
 from bhca.lp_format import ParsedLp, export_lp, model_canonical_rows, parse_lp, round_trip_matches
 from bhca.baseline import build_bh_model
 from bhca.linkbudget import compute_rate_table
+from bhca.model import EQUAL, GREATER, LESS, LinearConstraint, ModelInstance
 from bhca.scenario import adjacency_pairs, generate_scenario, load_config
+from bhca.solver import solve_lp
 
 from conftest import make_bundle, tiny_config
 
@@ -160,3 +162,202 @@ def test_export_mentions_constraint_tags(tiny_bundle):
     text = export_lp(model)
     for tag in ("C1_l1_u1", "C4_l2_u2", "C7b_l1_c1_u1", "C8b", "C9d_l2_c2_u2_t2"):
         assert f" {tag}:" in text
+
+
+class _Columns:
+    """Catalog stand-in whose columns carry the given names."""
+
+    def __init__(self, names):
+        self.names = list(names)
+
+    def col_name(self, j):
+        return self.names[j]
+
+    def col_names(self):
+        return list(self.names)
+
+
+def _edge_model():
+    n = 30
+    first14 = tuple(range(14))
+    rows = [
+        LinearConstraint(first14, (1.0,) * 14, LESS, 1.0, "exactly_220_chars"),
+        LinearConstraint(first14, (1.0,) * 14, LESS, 1.0, "one_wider_than_220"),
+        LinearConstraint((), (), GREATER, -0.0, "empty"),
+        LinearConstraint((0, 1, 2, 3, 4), (-2.5, 1e15, -0.0, 3.0, 0.1), EQUAL, 1e16, "mixed"),
+        LinearConstraint((5,), (-1.0,), GREATER, -7.25, "negative"),
+        LinearConstraint(tuple(range(n)), tuple(-0.001 * (j + 1) for j in range(n)), LESS, 2.0**60, "long"),
+        LinearConstraint(tuple(range(n)), (1.0,) * n, LESS, 1.0, "continued"),
+        LinearConstraint(tuple(range(n)), (0.25,) * n, LESS, 1.0, "two_full_row"),
+    ]
+    lower, upper = np.zeros(n), np.ones(n)
+    lower[25:], upper[25:] = [-5.0, 1.0, 0.0, 0.0, 0.0], [2.5, np.inf, 1e15, 1.0, np.inf]
+    return ModelInstance.from_constraints(
+        _Columns(f"x{j:08d}" for j in range(n)), rows, objective=(np.arange(n) - 10) * 0.5,
+        lower=lower, upper=upper, binary=np.arange(n) < 25,
+    )
+
+
+_TERMS14 = "".join(f" + 1 x{j:08d}" for j in range(14))
+
+# export_lp of _edge_model, pinned from the per-row implementation. Rows,
+# the objective and Binaries fold at 220 characters; numbers of 1e15 and
+# more are written with repr, -0.0 as 0.
+EDGE_EXPORT = "\n".join([
+    "\\ Problem: bhca",
+    "Maximize",
+    " obj: - 5 x00000000 - 4.5 x00000001 - 4 x00000002 - 3.5 x00000003 - 3 x00000004 - 2.5 x00000005"
+    " - 2 x00000006 - 1.5 x00000007 - 1 x00000008 - 0.5 x00000009 + 0.5 x00000011 + 1 x00000012"
+    " + 1.5 x00000013 + 2 x00000014 +",
+    "  2.5 x00000015 + 3 x00000016 + 3.5 x00000017 + 4 x00000018 + 4.5 x00000019 + 5 x00000020"
+    " + 5.5 x00000021 + 6 x00000022 + 6.5 x00000023 + 7 x00000024 + 7.5 x00000025 + 8 x00000026"
+    " + 8.5 x00000027 + 9 x00000028 + 9.5",
+    "  x00000029",
+    "Subject To",
+    f" exactly_220_chars:{_TERMS14} <= 1",
+    f" one_wider_than_220:{_TERMS14} <=",
+    "  1",
+    " empty: >= 0",
+    " mixed: - 2.5 x00000000 + 1000000000000000.0 x00000001 + 0 x00000002 + 3 x00000003"
+    " + 0.1 x00000004 = 1e+16",
+    " negative: - 1 x00000005 >= -7.25",
+    " long: - 0.001 x00000000 - 0.002 x00000001 - 0.003 x00000002 - 0.004 x00000003 - 0.005 x00000004"
+    " - 0.006 x00000005 - 0.007 x00000006 - 0.008 x00000007 - 0.009000000000000001 x00000008"
+    " - 0.01 x00000009 - 0.011 x00000010 -",
+    "  0.012 x00000011 - 0.013000000000000001 x00000012 - 0.014 x00000013 - 0.015 x00000014"
+    " - 0.016 x00000015 - 0.017 x00000016 - 0.018000000000000002 x00000017 - 0.019 x00000018"
+    " - 0.02 x00000019 - 0.021 x00000020 - 0.022",
+    "  x00000021 - 0.023 x00000022 - 0.024 x00000023 - 0.025 x00000024 - 0.026000000000000002 x00000025"
+    " - 0.027 x00000026 - 0.028 x00000027 - 0.029 x00000028 - 0.03 x00000029 <= 1.152921504606847e+18",
+    " continued:" + "".join(f" + 1 x{j:08d}" for j in range(14)) + " + 1",
+    " " + "".join(f" x{j:08d} + 1" for j in range(14, 29)),
+    "  x00000029 <= 1",
+    " two_full_row:" + "".join(f" + 0.25 x{j:08d}" for j in range(12)) + " +",
+    "  0.25 x00000012" + "".join(f" + 0.25 x{j:08d}" for j in range(13, 25)),
+    " " + "".join(f" + 0.25 x{j:08d}" for j in range(25, 30)) + " <= 1",
+    "Bounds",
+    " -5 <= x00000025 <= 2.5",
+    " x00000026 >= 1",
+    " 0 <= x00000027 <= 1000000000000000.0",
+    " 0 <= x00000028 <= 1",
+    "Binaries",
+    "".join(f" x{j:08d}" for j in range(22)),
+    "  x00000022 x00000023 x00000024",
+    "End",
+    "",
+])
+
+
+def test_fold_and_shape_edge_cases():
+    model = _edge_model()
+    text = export_lp(model)
+    assert text == EDGE_EXPORT
+    lines = text.splitlines()
+    at = {line.split(":")[0].strip(): i for i, line in enumerate(lines)}
+    assert len(lines[at["exactly_220_chars"]]) == 220
+    assert [len(line) for line in lines[at["one_wider_than_220"]:][:2]] == [219, 3]
+    # A continuation line may be exactly 220 wide (two_full_row); the second
+    # line of "continued" stops at 211 because the next token would make 221.
+    assert [len(line) for line in lines[at["two_full_row"]:][:3]] == [220, 220, 91]
+    assert [len(line) for line in lines[at["continued"]:][:3]] == [211, 211, 16]
+    assert max(len(line) for line in lines) == 220
+    assert round_trip_matches(model, parse_lp(text))
+
+
+def test_a_token_wider_than_a_line_gets_a_line_of_its_own():
+    wide = "w" * 230
+    model = ModelInstance.from_constraints(
+        _Columns([wide, "x"]), [LinearConstraint((0, 1), (1.0, 1.0), LESS, 1.0, "wide")],
+        objective=np.ones(2), lower=np.zeros(2), upper=np.ones(2), binary=np.ones(2, dtype=bool),
+    )
+    assert export_lp(model) == "\n".join([
+        "\\ Problem: bhca", "Maximize", " obj: + 1", f"  {wide}", "  + 1 x",
+        "Subject To", " wide: + 1", f"  {wide}", "  + 1 x <= 1",
+        "Bounds", "Binaries", f" {wide}", "  x", "End", "",
+    ])
+
+
+def test_model_without_rows_exports_empty_sections():
+    model = ModelInstance.from_constraints(
+        _Columns(["u", "v"]), [], objective=np.zeros(2),
+        lower=np.array([0.0, -1.5]), upper=np.full(2, np.inf), binary=np.zeros(2, dtype=bool),
+    )
+    text = export_lp(model)
+    assert text == "\\ Problem: bhca\nMaximize\n obj:\nSubject To\nBounds\n v >= -1.5\nEnd\n"
+    assert round_trip_matches(model, parse_lp(text))
+
+
+def test_parser_rejects_a_repeated_row(tiny_bundle):
+    # Before, the later row replaced the first in ParsedLp.constraints, so
+    # round_trip_matches accepted an export with an extra or changed copy.
+    _, _, _, model = tiny_bundle
+    text = export_lp(model)
+    first_row = text.splitlines()[4]
+    assert first_row.startswith(" C1_l1_u1:")
+    changed = first_row.rsplit(" ", 1)[0] + " 0"
+    for row in (first_row, changed):
+        with pytest.raises(ValueError, match="'C1_l1_u1' appears twice"):
+            parse_lp(text.replace("Bounds\n", f"{row}\nBounds\n"))
+
+
+@pytest.mark.parametrize("bounds", [
+    " 0 <= x <= 1\n 0 <= x <= 2\n",
+    " x >= 1\n 0 <= x <= 2\n",
+], ids=["same-form", "both-forms"])
+def test_parser_rejects_repeated_bounds(bounds):
+    with pytest.raises(ValueError, match="bounds of 'x' appear twice"):
+        parse_lp(f"Maximize\n obj: + 1 x\nBounds\n{bounds}End\n")
+
+
+def _linprog_relaxation(text: str) -> float:
+    """Optimum of the LP relaxation of an exported document, solved by HiGHS
+    from nothing but the parsed text."""
+    optimize = pytest.importorskip("scipy.optimize")
+    parsed = parse_lp(text)
+    names = list(dict.fromkeys([
+        *parsed.objective,
+        *(name for terms, _, _ in parsed.constraints.values() for name, _ in terms),
+        *parsed.bounds,
+        *parsed.binaries,
+    ]))
+    index = {name: j for j, name in enumerate(names)}
+    c = np.zeros(len(names))
+    for name, v in parsed.objective.items():
+        c[index[name]] = v
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for terms, sense, rhs in parsed.constraints.values():
+        row = np.zeros(len(names))
+        for name, v in terms:
+            row[index[name]] = v
+        if sense == "=":
+            A_eq.append(row)
+            b_eq.append(rhs)
+        else:
+            sign = 1.0 if sense == "<=" else -1.0
+            A_ub.append(sign * row)
+            b_ub.append(sign * rhs)
+    binaries = set(parsed.binaries)
+    bounds = [
+        parsed.bounds.get(name, (0.0, 1.0) if name in binaries else (0.0, np.inf))
+        for name in names
+    ]
+    res = optimize.linprog(
+        -c, A_ub=np.array(A_ub) if A_ub else None, b_ub=b_ub or None,
+        A_eq=np.array(A_eq) if A_eq else None, b_eq=b_eq or None,
+        bounds=bounds, method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize("case", [*(f"tiny-{seed}" for seed in range(1, 6)), "desk-bh-1"])
+def test_external_solver_reads_the_same_lp(modcod, case):
+    if case == "desk-bh-1":
+        cfg = dataclasses.replace(load_config(resolve_config_path("desk")), rng_seed=1)
+        scenario, rates, pairs, _ = make_bundle(cfg, modcod)
+        model = build_bh_model(scenario, rates, pairs)
+    else:
+        _, _, _, model = make_bundle(tiny_config(int(case.split("-")[1])), modcod)
+    ours = solve_lp(model)
+    assert ours.status == "optimal"
+    assert _linprog_relaxation(export_lp(model)) == pytest.approx(ours.objective, abs=1e-7)

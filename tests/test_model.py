@@ -1,25 +1,29 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from bhca.cli import resolve_config_path
 from bhca.linkbudget import compute_rate_table
 from bhca.lp_format import export_lp
 from bhca.model import (
     GREATER,
     LESS,
+    BaselineCatalog,
     InfeasibleSolutionError,
     LinearConstraint,
     ModelInstance,
     StructuralError,
+    VariableCatalog,
     build_model,
     decode_plan,
     validate_solution,
 )
-from bhca.scenario import generate_scenario
+from bhca.scenario import generate_scenario, load_config
 from bhca.solver import solve_milp
 
-from conftest import tiny_config
+from conftest import make_bundle, tiny_config
 
 # sha256 of export_lp of the tiny fixture model (seed 3); catches any silent
 # change to column order, coefficients, bounds or tags.
@@ -67,6 +71,30 @@ def test_row_tags_read_by_index_match_their_order(tiny_bundle):
     assert tags[0] == "C1_l1_u1" and tags[-1] == "C9d_l2_c2_u2_t2"
     with pytest.raises(IndexError):
         tags[len(tags)]
+
+
+@pytest.mark.parametrize("config", ["tiny", "desk", "table2"])
+def test_col_names_match_col_name(config):
+    # table2 has two-digit user and slot indices.
+    cfg = tiny_config() if config == "tiny" else load_config(resolve_config_path(config))
+    L, T = cfg.num_clusters, cfg.slots_per_window
+    for cat in (VariableCatalog(L, cfg.carriers_per_cluster, cfg.users_per_cluster, T),
+                BaselineCatalog(L, T)):
+        assert cat.col_names() == [cat.col_name(j) for j in range(cat.num_cols)]
+
+
+def test_tags_iterate_as_read_by_index(modcod):
+    cfg = dataclasses.replace(load_config(resolve_config_path("desk")), rng_seed=1)
+    _, _, _, desk = make_bundle(cfg, modcod)
+    hand_built = ModelInstance.from_constraints(
+        _NamedColumns(),
+        [LinearConstraint((0,), (1.0,), LESS, 1.0, "a"), LinearConstraint((), (), LESS, 0.0, "b_1")],
+        objective=np.zeros(1), lower=np.zeros(1), upper=np.ones(1), binary=np.zeros(1, dtype=bool),
+    )
+    assert isinstance(hand_built.tags, tuple)
+    for model in (desk, hand_built):
+        tags = model.tags
+        assert list(tags) == [tags[i] for i in range(model.num_rows)]
 
 
 def test_assignment_and_fill_carry_no_time_axis(tiny_bundle):
