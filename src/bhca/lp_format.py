@@ -121,9 +121,29 @@ def _rows_text(model: ModelInstance, names: np.ndarray) -> list[str]:
     return parts
 
 
+def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first column or row holding a number
+    the dialect cannot carry: it has no free or ``-inf`` bound form, and a
+    coefficient or rhs must be finite."""
+    bad = ~np.isfinite(model.lower) | ~(model.upper > -np.inf) | ~np.isfinite(model.objective)
+    if bad.any():
+        j = int(bad.argmax())
+        raise ValueError(
+            f"column {names[j]} has bounds [{model.lower[j]!r}, {model.upper[j]!r}] and objective "
+            f"coefficient {model.objective[j]!r}; the LP format needs a finite lower bound and "
+            "finite coefficients"
+        )
+    bad = ~np.isfinite(model.rhs)
+    bad[np.searchsorted(model.indptr, np.flatnonzero(~np.isfinite(model.coefs)), side="right") - 1] = True
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"row {model.tags[i]} has a coefficient or rhs that is not finite")
+
+
 def export_lp(model: ModelInstance) -> str:
     """Render the model as CPLEX-LP text; repeated calls are byte-identical."""
     names = np.array(model.catalog.col_names(), dtype=object)
+    _check_writable(model, names)
     out = ["\\ Problem: bhca\nMaximize\n"]
 
     obj_cols = np.nonzero(model.objective)[0]

@@ -9,6 +9,12 @@ before pivoting and all reporting happens in the original units.
 Pricing is Dantzig by default; a stall counter switches to Bland's rule
 permanently once the objective stops improving for too long, which guarantees
 termination on degenerate models.
+
+``solve_dense`` solves one LP with a scalar pivot loop. ``solve_dense_batch``
+solves LPs that share ``c, A, senses, b`` and differ only in their bounds:
+their tableaux live in one ``(B, m, N)`` array and pivot in lockstep. Both
+share the set-up and the finish, and a batch member's result is bit-identical
+to ``solve_dense`` on the same LP.
 """
 from __future__ import annotations
 
@@ -16,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-AT_LOWER = 0
-AT_UPPER = 1
-BASIC = 2
-
 PIVOT_TOL = 1e-9
 # A reported optimum whose worst row or bound violation exceeds this is a bug.
 RESIDUAL_TOL = 1e-7
+
+_SENSES = ("<=", ">=", "=")
+# Sense code after flipping a row's sign.
+_SWAP = np.array([1, 0, 2], dtype=np.int8)
 
 
 @dataclass
@@ -35,189 +41,349 @@ class LpSolution:
 
 def solve_dense(c, A, senses, b, lower, upper) -> LpSolution:
     """Solve max c.x s.t. A x (senses) b, lower <= x <= upper."""
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    up = np.asarray(upper, dtype=float)
-    n = c.shape[0]
-    m = b.shape[0]
-    if A.shape != (m, n):
-        raise ValueError(f"A has shape {A.shape}, expected ({m}, {n})")
-    if np.any(up < lo - 1e-12):
-        return LpSolution(np.zeros(n), 0.0, "infeasible")
+    tab = _Tableaux(c, A, senses, b, np.asarray(lower, dtype=float)[None],
+                    np.asarray(upper, dtype=float)[None])
+    if tab.alive[0]:
+        state = (tab.T[0], tab.rhs[0], tab.z[0], tab.basis[0], tab.sign[0], tab.ub[0],
+                 int(tab.max_iter[0]), int(tab.bland_after[0]))
+        if tab.art[0].any():
+            tab.settle([0], *_iterate(*state), phase=1)
+        tab.phase_two()
+        if tab.alive[0]:
+            tab.settle([0], *_iterate(*state), phase=2)
+    return tab.finish()[0]
 
-    # Shift to zero lower bounds.
-    shift = lo.copy()
-    rng_up = np.maximum(up - lo, 0.0)
-    b_shift = b - A @ shift
 
-    # Row equilibration.
-    scale = np.abs(A).max(axis=1) if n else np.ones(m)
-    scale = np.where(scale > 1e-12, scale, 1.0)
-    As = A / scale[:, None]
-    bs = b_shift / scale
+def solve_dense_batch(c, A, senses, b, lowers, uppers) -> list[LpSolution]:
+    """Solve ``B`` LPs ``max c.x s.t. A x (senses) b, lowers[k] <= x <= uppers[k]``.
 
-    sense_codes = np.array([{"<=": 0, ">=": 1, "=": 2}[s] for s in senses], dtype=np.int8)
-    # Orient rows so rhs >= 0; flipping >= rows with zero rhs as well keeps
-    # them slack-basic and avoids needless phase-1 artificials.
-    flip = (bs < 0) | ((bs == 0.0) & (sense_codes == 1))
-    As[flip] *= -1.0
-    bs[flip] *= -1.0
-    bs[bs == 0.0] = 0.0
-    swap = {0: 1, 1: 0, 2: 2}
-    for i in np.nonzero(flip)[0]:
-        sense_codes[i] = swap[int(sense_codes[i])]
+    ``lowers`` and ``uppers`` have shape ``(B, n)``. Entry ``k`` of the result
+    equals ``solve_dense(c, A, senses, b, lowers[k], uppers[k])`` bit for bit.
+    """
+    tab = _Tableaux(c, A, senses, b, np.asarray(lowers, dtype=float),
+                    np.asarray(uppers, dtype=float))
+    _iterate_batch(tab, (tab.alive & tab.art.any(axis=1)).nonzero()[0], phase=1)
+    tab.phase_two()
+    _iterate_batch(tab, tab.alive.nonzero()[0], phase=2)
+    return tab.finish()
 
-    slack_rows = np.nonzero(sense_codes != 2)[0]
-    art_rows = np.nonzero(sense_codes != 0)[0]
-    n_slack = slack_rows.size
-    n_art = art_rows.size
-    total = n + n_slack + n_art
 
-    T = np.zeros((m, total))
-    T[:, :n] = As
-    ub_ext = np.full(total, np.inf)
-    ub_ext[:n] = rng_up
-    basis = np.full(m, -1, dtype=np.int64)
-    for k, i in enumerate(slack_rows):
-        T[i, n + k] = 1.0 if sense_codes[i] == 0 else -1.0
-        if sense_codes[i] == 0:
-            basis[i] = n + k
-    for k, i in enumerate(art_rows):
-        T[i, n + n_slack + k] = 1.0
-        basis[i] = n + n_slack + k
+class _Tableaux:
+    """Set-up, phase change and finish of ``B`` LPs over one column layout.
 
-    vstat = np.full(total, AT_LOWER, dtype=np.int8)
-    vstat[basis] = BASIC
-    rhs = bs.copy()
-    iterations = 0
+    Columns are the ``n`` structural ones, one slack per inequality row and
+    one artificial slot per row that needs an artificial in any of the LPs,
+    in that order. A slot an LP does not use is all zero with upper bound 0,
+    so it never enters, and the pivot order matches the LP's own layout.
+    ``sign`` is +1 for a nonbasic column at its lower bound, -1 at its upper
+    bound and 0 for a basic column.
+    """
 
-    if n_art:
-        z1 = np.zeros(total)
-        z1[n + n_slack:] = -1.0
-        for i in np.nonzero(basis >= n + n_slack)[0]:
-            z1 += T[i]
-        z1[basis] = 0.0
-        status, iters = _iterate(T, rhs, z1, basis, vstat, ub_ext)
-        iterations += iters
+    def __init__(self, c, A, senses, b, lo, up):
+        c = np.asarray(c, dtype=float)
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if c.ndim != 1 or b.ndim != 1 or A.shape != (b.size, c.size):
+            raise ValueError(f"expected c (n,), A (m, n), b (m,); got {c.shape}, {A.shape}, {b.shape}")
+        m, n = A.shape
+        if lo.ndim != 2 or lo.shape[1] != n or up.shape != lo.shape:
+            raise ValueError(f"bounds have shapes {lo.shape} and {up.shape}, expected (B, {n})")
+        codes = _sense_codes(senses, m)
+        if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("c, A and b must be finite")
+        if not np.isfinite(lo).all():
+            raise ValueError("lower bounds must be finite")
+        if np.isnan(up).any():
+            raise ValueError("upper bounds must not be NaN")
+        B = lo.shape[0]
+        self.c, self.A, self.b, self.codes, self.lo, self.up = c, A, b, codes, lo, up
+        self.status = ["infeasible"] * B
+        self.iterations = np.zeros(B, dtype=np.int64)
+        self.alive = ~(up < lo - 1e-12).any(axis=1)
+
+        # Shift to zero lower bounds and equilibrate rows.
+        b_shift = b - np.matmul(A, lo[:, :, None])[:, :, 0]
+        scale = np.abs(A).max(axis=1) if n else np.ones(m)
+        scale = np.where(scale > 1e-12, scale, 1.0)
+        As = A / scale[:, None]
+        bs = b_shift / scale
+        # Orient rows so rhs >= 0; flipping >= rows with zero rhs as well keeps
+        # them slack-basic and avoids needless phase-1 artificials.
+        flip = (bs < 0) | ((bs == 0.0) & (codes == 1))
+        bs = np.where(flip, -bs, bs)
+        bs[bs == 0.0] = 0.0
+        # A row needs an artificial unless it is a <= row once oriented.
+        art = np.where(flip, codes != 1, codes != 0) & self.alive[:, None]
+
+        slack_rows = (codes != 2).nonzero()[0]
+        art_rows = art.any(axis=0).nonzero()[0]
+        self.core = core = n + slack_rows.size
+        N = core + art_rows.size
+        slack_col = np.full(m, -1)
+        slack_col[slack_rows] = n + np.arange(slack_rows.size)
+        self.art_col = np.full(m, -1)
+        self.art_col[art_rows] = core + np.arange(art_rows.size)
+
+        T = np.zeros((B, m, N))
+        T[:, :, :n] = As
+        np.negative(T[:, :, :n], out=T[:, :, :n], where=flip[:, :, None])
+        T[:, slack_rows, slack_col[slack_rows]] = np.where(art[:, slack_rows], -1.0, 1.0)
+        T[:, art_rows, self.art_col[art_rows]] = art[:, art_rows]
+        ub = np.full((B, N), np.inf)
+        ub[:, :n] = np.maximum(up - lo, 0.0)
+        ub[:, core:] = np.where(art[:, art_rows], np.inf, 0.0)
+        basis = np.where(art, self.art_col, slack_col)
+        lps = np.arange(B)[:, None]
+        sign = np.ones((B, N))
+        sign[lps, basis] = 0.0
+
+        # Phase-1 row: minus the artificials plus the rows that carry one,
+        # added in row order as a lone LP adds them.
+        z = np.zeros((B, N))
+        if art_rows.size:
+            S = np.zeros((B, m + 1, N))
+            S[:, 0, core:] = -1.0
+            np.multiply(T, art[:, :, None], out=S[:, 1:])
+            z[:] = np.add.accumulate(S, axis=1, out=S)[:, -1]
+            z[lps, basis] = 0.0
+
+        self.T, self.rhs, self.z, self.basis, self.sign, self.ub, self.art = T, bs, z, basis, sign, ub, art
+        self.infeasible_tol = 1e-7 * np.maximum(1.0, np.abs(bs).max(axis=1, initial=0.0))
+        # Caps follow each LP's own column count, without unused slots.
+        width = m + core + art.sum(axis=1)
+        self.max_iter = 200 * width + 20_000
+        self.bland_after = 2 * width + 200
+
+    def settle(self, lps, status: str, iterations: int, phase: int) -> None:
+        """Record that the LPs ``lps`` ended a phase in ``status``."""
+        self.iterations[lps] += iterations
         if status == "unbounded":
-            raise RuntimeError("phase-1 simplex reported unbounded; preprocessing bug")
-        art_total = 0.0
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                art_total += max(rhs[i], 0.0)
-        if art_total > 1e-7 * max(1.0, float(np.abs(bs).max(initial=0.0))):
-            return LpSolution(np.zeros(n), 0.0, "infeasible", iterations)
-        ub_ext[n + n_slack:] = 0.0
+            if phase == 1:
+                raise RuntimeError("phase-1 simplex reported unbounded; preprocessing bug")
+            self.alive[lps] = False
+            for k in lps:
+                self.status[k] = status
 
-    c_ext = np.zeros(total)
-    c_ext[:n] = c
-    zrow = c_ext - c_ext[basis] @ T
-    zrow[basis] = 0.0
-    status, iters = _iterate(T, rhs, zrow, basis, vstat, ub_ext)
-    iterations += iters
-    if status == "unbounded":
-        return LpSolution(np.zeros(n), 0.0, "unbounded", iterations)
+    def phase_two(self) -> None:
+        """Drop the LPs phase 1 left infeasible; price the rest on ``c``."""
+        B, m, N = self.T.shape
+        core = self.core
+        self.ub[:, core:] = 0.0
+        k = self.alive.nonzero()[0]
+        if N > core and m:
+            left = np.where(self.basis[k] >= core, np.maximum(self.rhs[k], 0.0), 0.0)
+            feasible = np.add.accumulate(left, axis=1)[:, -1] <= self.infeasible_tol[k]
+            self.alive[k[~feasible]] = False
+            k = k[feasible]
 
-    x_ext = np.zeros(total)
-    upper_cols = np.nonzero(vstat == AT_UPPER)[0]
-    x_ext[upper_cols] = ub_ext[upper_cols]
-    x_ext[basis] = rhs
-    x = np.clip(x_ext[:n] + shift, lo, up)
-    objective = float(c @ x)
+        c_ext = np.zeros(N)
+        c_ext[:self.c.size] = self.c
+        own = self.art[k].sum(axis=1)
+        for count in sorted(set(own.tolist())):
+            g = k[own == count]
+            lps = np.arange(g.size)[:, None]
+            # The product runs on each LP's own columns, as a lone LP's does:
+            # its BLAS rounding depends on the matrix width.
+            if count == N - core:
+                cols = np.arange(N)
+                T = self.T if g.size == B else self.T[g]
+            else:
+                arts = np.broadcast_to(self.art_col, (g.size, m))[self.art[g]].reshape(g.size, count)
+                cols = np.hstack([np.broadcast_to(np.arange(core), (g.size, core)), arts])
+                T = self.T[g[:, None, None], np.arange(m)[:, None], cols[:, None, :]]
+            z = np.zeros((g.size, N))
+            z[lps, cols] = c_ext[cols] - np.matmul(c_ext[self.basis[g]][:, None, :], T)[:, 0, :]
+            z[lps, self.basis[g]] = 0.0
+            self.z[g] = z
 
-    residual = _max_violation(A, senses, b, lo, up, x)
-    if residual > RESIDUAL_TOL:
-        raise RuntimeError(
-            f"simplex returned an infeasible optimum (max violation {residual:.3e})"
-        )
-    return LpSolution(values=x, objective=objective, status="optimal", iterations=iterations)
+    def finish(self) -> list[LpSolution]:
+        """Recover each optimal LP's point and check it against the rows and bounds."""
+        n = self.c.size
+        out = [LpSolution(np.zeros(n), 0.0, status, int(iters))
+               for status, iters in zip(self.status, self.iterations)]
+        k = self.alive.nonzero()[0]
+        if not k.size:
+            return out
+        lo, up = self.lo[k], self.up[k]
+        x_ext = np.where(self.sign[k] < 0, self.ub[k], 0.0)
+        x_ext[np.arange(k.size)[:, None], self.basis[k]] = self.rhs[k]
+        x = np.clip(x_ext[:, :n] + lo, lo, up)
+        residual = _max_violation(self.A, self.codes, self.b, lo, up, x)
+        if (residual > RESIDUAL_TOL).any():
+            raise RuntimeError(
+                f"simplex returned an infeasible optimum (max violation {residual.max():.3e})"
+            )
+        for i, j in enumerate(k.tolist()):
+            values = x[i].copy()
+            out[j] = LpSolution(values, float(self.c @ values), "optimal", out[j].iterations)
+        return out
 
 
-def _max_violation(A, senses, b, lo, up, x) -> float:
-    lhs = A @ x
-    worst = 0.0
-    for i, s in enumerate(senses):
-        if s == "<=":
-            worst = max(worst, lhs[i] - b[i])
-        elif s == ">=":
-            worst = max(worst, b[i] - lhs[i])
-        else:
-            worst = max(worst, abs(lhs[i] - b[i]))
-    finite_lo = np.isfinite(lo)
-    finite_up = np.isfinite(up)
-    if np.any(finite_lo):
-        worst = max(worst, float((lo[finite_lo] - x[finite_lo]).max(initial=0.0)))
-    if np.any(finite_up):
-        worst = max(worst, float((x[finite_up] - up[finite_up]).max(initial=0.0)))
-    return worst
+def _sense_codes(senses, m: int) -> np.ndarray:
+    s = np.asarray(senses) if len(senses) else np.empty(0, dtype="<U2")
+    if s.shape != (m,):
+        raise ValueError(f"senses have shape {s.shape}, expected ({m},)")
+    codes = np.full(m, -1, dtype=np.int8)
+    for code, sense in enumerate(_SENSES):
+        codes[s == sense] = code
+    if (codes < 0).any():
+        raise ValueError(f"unknown sense {s[codes < 0][0]!r}; expected one of {_SENSES}")
+    return codes
 
 
-def _iterate(T, rhs, zrow, basis, vstat, ub_ext):
-    """Run primal pivots until optimal or unbounded. Mutates all arguments."""
-    m, total = T.shape
-    max_iter = 200 * (m + total) + 20_000
-    bland_after = 2 * (m + total) + 200
+def _max_violation(A, codes, b, lo, up, x) -> np.ndarray:
+    """Worst row or bound violation of each point in ``x`` (B, n); NaN counts as inf."""
+    lhs = np.matmul(A, x[:, :, None])[:, :, 0]
+    rows = np.where(codes == 0, lhs - b, np.where(codes == 1, b - lhs, np.abs(lhs - b)))
+    worst = np.maximum(rows.max(axis=1, initial=0.0),
+                       np.maximum(lo - x, x - up).max(axis=1, initial=0.0))
+    return np.where(np.isnan(worst), np.inf, worst)
+
+
+def _iterate(T, rhs, z, basis, sign, ub, max_iter, bland_after):
+    """Run primal pivots on one tableau until optimal or unbounded.
+
+    Mutates all array arguments; returns the status and the pricing passes.
+    """
+    m = rhs.shape[0]
     stall = 0
     bland = False
+    ratios = np.empty(m)
     for it in range(1, max_iter + 1):
-        improving = (
-            (ub_ext > 0.0)
-            & (
-                ((vstat == AT_LOWER) & (zrow > PIVOT_TOL))
-                | ((vstat == AT_UPPER) & (zrow < -PIVOT_TOL))
-            )
-        )
-        cand = np.nonzero(improving)[0]
+        cand = ((ub > 0.0) & (sign * z > PIVOT_TOL)).nonzero()[0]
         if cand.size == 0:
             return "optimal", it
-        if bland:
-            e = int(cand[0])
-        else:
-            e = int(cand[np.argmax(np.abs(zrow[cand]))])
-        entering_low = vstat[e] == AT_LOWER
-        d = 1.0 if entering_low else -1.0
+        e = int(cand[0]) if bland else int(cand[np.abs(z[cand]).argmax()])
+        d = sign[e]
         col = d * T[:, e]
 
-        t_best = ub_ext[e]
+        t_best = ub[e]
         leave = -1
         if m:
-            ub_basis = ub_ext[basis]
-            pos = col > PIVOT_TOL
-            neg = (col < -PIVOT_TOL) & np.isfinite(ub_basis)
-            ratios = np.full(m, np.inf)
-            if np.any(pos):
-                ratios[pos] = np.maximum(rhs[pos], 0.0) / col[pos]
-            if np.any(neg):
-                ratios[neg] = (ub_basis[neg] - np.minimum(rhs[neg], ub_basis[neg])) / (-col[neg])
-            rmin = float(ratios.min(initial=np.inf))
+            ub_basis = ub[basis]
+            ratios.fill(np.inf)
+            np.divide(np.maximum(rhs, 0.0), col, out=ratios, where=col > PIVOT_TOL)
+            np.divide(ub_basis - np.minimum(rhs, ub_basis), -col, out=ratios,
+                      where=(col < -PIVOT_TOL) & (ub_basis < np.inf))
+            rmin = ratios.min()
             if rmin < t_best:
-                ties = np.nonzero(ratios == rmin)[0]
-                leave = int(ties[np.argmin(basis[ties])])
+                ties = (ratios == rmin).nonzero()[0]
+                leave = int(ties[basis[ties].argmin()])
                 t_best = rmin
         if not np.isfinite(t_best):
             return "unbounded", it
 
-        gain = abs(zrow[e]) * t_best
+        gain = abs(z[e]) * t_best
         stall = 0 if gain > 1e-12 else stall + 1
         if not bland and stall > bland_after:
             bland = True
 
         rhs -= t_best * col
         if leave < 0:
-            vstat[e] = AT_UPPER if entering_low else AT_LOWER
+            sign[e] = -d
             continue
-        k = int(basis[leave])
-        vstat[k] = AT_UPPER if col[leave] < 0.0 else AT_LOWER
-        enter_val = t_best if entering_low else ub_ext[e] - t_best
+        sign[basis[leave]] = -1.0 if col[leave] < 0.0 else 1.0
+        enter_val = t_best if d > 0 else ub[e] - t_best
         prow = T[leave] / T[leave, e]
         T[leave] = prow
         colv = T[:, e].copy()
         colv[leave] = 0.0
-        T -= np.outer(colv, prow)
-        zrow -= zrow[e] * prow
+        T -= colv[:, None] * prow
+        z -= z[e] * prow
         rhs[leave] = enter_val
         basis[leave] = e
-        vstat[e] = BASIC
+        sign[e] = 0.0
     raise RuntimeError(f"simplex stalled after {max_iter} iterations")
+
+
+def _iterate_batch(tab: _Tableaux, lps: np.ndarray, phase: int) -> None:
+    """Pivot the tableaux ``lps`` of ``tab`` in lockstep, each as ``_iterate`` would.
+
+    Works on copies of the unfinished LPs. An LP that finishes has its state
+    written back to ``tab`` and leaves the copies, which shrink only then.
+    """
+    if lps.size == tab.T.shape[0]:
+        T, rhs, z, basis, sign, ub = tab.T, tab.rhs, tab.z, tab.basis, tab.sign, tab.ub
+    else:
+        T, rhs, z = tab.T[lps], tab.rhs[lps], tab.z[lps]
+        basis, sign, ub = tab.basis[lps], tab.sign[lps], tab.ub[lps]
+    max_iter, bland_after = tab.max_iter[lps], tab.bland_after[lps]
+    stall = np.zeros(lps.size, dtype=np.int64)
+    bland = np.zeros(lps.size, dtype=bool)
+    m = rhs.shape[1]
+    it = 0
+
+    def retire(done, status):
+        nonlocal lps, T, rhs, z, basis, sign, ub, max_iter, bland_after, stall, bland
+        gone = lps[done]
+        tab.T[gone], tab.rhs[gone], tab.z[gone] = T[done], rhs[done], z[done]
+        tab.basis[gone], tab.sign[gone] = basis[done], sign[done]
+        tab.settle(gone, status, it, phase)
+        keep = ~done
+        lps, T, rhs, z, basis, sign, ub = lps[keep], T[keep], rhs[keep], z[keep], basis[keep], sign[keep], ub[keep]
+        max_iter, bland_after, stall, bland = max_iter[keep], bland_after[keep], stall[keep], bland[keep]
+        return keep
+
+    while lps.size:
+        it += 1
+        if (it > max_iter).any():
+            raise RuntimeError(f"simplex stalled after {it - 1} iterations")
+        improving = (ub > 0.0) & (sign * z > PIVOT_TOL)
+        done = ~improving.any(axis=1)
+        if done.any():
+            improving = improving[retire(done, "optimal")]
+            if not lps.size:
+                return
+        r = np.arange(lps.size)
+        e = np.where(bland, improving.argmax(axis=1),
+                     np.where(improving, np.abs(z), -1.0).argmax(axis=1))
+        d = sign[r, e]
+        col = d[:, None] * T[r, :, e]
+
+        t_best = ub[r, e]
+        leave = np.full(lps.size, -1)
+        if m:
+            ub_basis = ub[r[:, None], basis]
+            ratios = np.full((lps.size, m), np.inf)
+            np.divide(np.maximum(rhs, 0.0), col, out=ratios, where=col > PIVOT_TOL)
+            np.divide(ub_basis - np.minimum(rhs, ub_basis), -col, out=ratios,
+                      where=(col < -PIVOT_TOL) & (ub_basis < np.inf))
+            rmin = ratios.min(axis=1)
+            by_row = rmin < t_best
+            ties = np.where(ratios == rmin[:, None], basis, ub.shape[1])
+            leave = np.where(by_row, ties.argmin(axis=1), -1)
+            t_best = np.where(by_row, rmin, t_best)
+        done = ~np.isfinite(t_best)
+        if done.any():
+            keep = retire(done, "unbounded")
+            if not lps.size:
+                return
+            r = np.arange(lps.size)
+            e, d, col, t_best, leave = e[keep], d[keep], col[keep], t_best[keep], leave[keep]
+
+        gain = np.abs(z[r, e]) * t_best
+        stall = np.where(gain > 1e-12, 0, stall + 1)
+        bland |= stall > bland_after
+
+        rhs -= t_best[:, None] * col
+        flips = leave < 0
+        sign[r[flips], e[flips]] = -d[flips]
+        # Pivot the LPs that did not flip a bound; the others' rows take no
+        # part (zero column, unit divisor) and stay untouched.
+        pivots = ~flips
+        if not pivots.any():
+            continue
+        p, lv, ep = r[pivots], leave[pivots], e[pivots]
+        sign[p, basis[p, lv]] = np.where(col[p, lv] < 0.0, -1.0, 1.0)
+        enter_val = np.where(d[p] > 0, t_best[p], ub[p, ep] - t_best[p])
+        row = np.where(pivots, leave, 0)
+        prow = T[r, row] / np.where(pivots, T[r, row, e], 1.0)[:, None]
+        T[p, lv] = prow[p]
+        colv = T[r, :, e]
+        colv[r, row] = 0.0
+        colv[flips] = 0.0
+        np.subtract(T, colv[:, :, None] * prow[:, None, :], out=T, where=pivots[:, None, None])
+        np.subtract(z, z[r, e][:, None] * prow, out=z, where=pivots[:, None])
+        rhs[p, lv] = enter_val
+        basis[p, lv] = ep
+        sign[p, ep] = 0.0

@@ -36,7 +36,7 @@ from heapq import heappush, heappop
 import numpy as np
 
 from .model import BaselineCatalog, ModelInstance, VariableCatalog
-from .simplex import LpSolution, solve_dense
+from .simplex import LpSolution, solve_dense, solve_dense_batch
 
 # An integer column within this distance of an integer counts as integral,
 # and a gap this small counts as closed.
@@ -495,6 +495,8 @@ class _JointCounts:
 
 MAX_ORACLE_BINARIES = 24
 MAX_ORACLE_PATTERNS = 2_000_000
+# Tableau bytes of one batch of oracle LPs: bounds the batch's working set.
+ORACLE_BATCH_BYTES = 128 * 1024
 
 
 def brute_force(model: ModelInstance) -> MilpSolution:
@@ -503,8 +505,9 @@ def brute_force(model: ModelInstance) -> MilpSolution:
     Enumerates every (assignment, illumination) pattern that passes the cheap
     carrier-count / activation-cap / adjacency filters, solves the continuous
     (fill-rate, floors) LP for each, and returns the best. Illumination
-    patterns with equal per-cluster slot counts share one set of LPs. Exact
-    up to LP tolerance; refuses models with more than 24 binaries.
+    patterns with equal per-cluster slot counts share one set of LPs, which
+    differ only in their bounds and are solved in batches. Exact up to LP
+    tolerance; refuses models with more than 24 binaries.
     """
     cat = model.catalog
     if not isinstance(cat, VariableCatalog) or model.rate_per_slot is None:
@@ -583,6 +586,11 @@ def brute_force(model: ModelInstance) -> MilpSolution:
     b = np.zeros(L * C + L * U + L + L + 1)
     b[:L * C] = 1.0
 
+    # Beta bounds of every carrier assignment, in itertools.product order.
+    set_masks = np.array([[c in s for c in range(C)] for s in carrier_sets])
+    n_assign = len(carrier_sets) ** (L * U)
+    lps_per_batch = max(1, ORACLE_BATCH_BYTES // (8 * len(b) * (n_cols + 2 * len(b))))
+
     t_start = time.perf_counter()
     best_obj = -np.inf
     best = None
@@ -608,23 +616,22 @@ def brute_force(model: ModelInstance) -> MilpSolution:
         # Slot scaling must leave the floor columns intact.
         A[L * C:L * C + L * U, tu0:] = template_c4[:, tu0:]
         A[L * C + L * U:L * C + L * U + L, tu0:] = template_c5[:, tu0:]
-        for a_pattern in itertools.product(carrier_sets, repeat=L * U):
-            lo = np.zeros(n_cols)
-            hi = np.concatenate([np.zeros(n_beta), np.full(L + 2, np.inf)])
-            for l in range(L):
-                for u in range(U):
-                    assigned = a_pattern[l * U + u]
-                    for c in assigned:
-                        j = beta_idx(l, c, u)
-                        lo[j] = eps_fill
-                        hi[j] = 1.0
-            sol = solve_dense(c_obj, A, senses, b, lo, hi)
-            evaluated += 1
-            if sol.status != "optimal":
-                continue
-            if sol.objective > best_obj:
-                best_obj = sol.objective
-                best = (z_pattern, a_pattern, sol.values.copy())
+        for start in range(0, n_assign, lps_per_batch):
+            digits = np.stack(np.unravel_index(
+                np.arange(start, min(start + lps_per_batch, n_assign)),
+                (len(carrier_sets),) * (L * U)), axis=1)
+            assigned = set_masks[digits].reshape(-1, L, U, C).transpose(0, 1, 3, 2).reshape(-1, n_beta)
+            lo = np.zeros((len(digits), n_cols))
+            lo[:, :n_beta] = np.where(assigned, eps_fill, 0.0)
+            hi = np.full((len(digits), n_cols), np.inf)
+            hi[:, :n_beta] = assigned
+            for row, sol in zip(digits, solve_dense_batch(c_obj, A, senses, b, lo, hi)):
+                evaluated += 1
+                if sol.status != "optimal":
+                    continue
+                if sol.objective > best_obj:
+                    best_obj = sol.objective
+                    best = (z_pattern, tuple(carrier_sets[i] for i in row), sol.values)
 
     if best is None:
         return MilpSolution(

@@ -287,6 +287,28 @@ def test_model_without_rows_exports_empty_sections():
     assert round_trip_matches(model, parse_lp(text))
 
 
+def _two_column_model(lower=(0.0, 0.0), upper=(np.inf, 1.0), objective=(1.0, 1.0), coef=1.0, rhs=1.0):
+    return ModelInstance.from_constraints(
+        _Columns(["u", "v"]), [LinearConstraint((0, 1), (1.0, coef), LESS, rhs, "r1")],
+        objective=np.array(objective), lower=np.array(lower), upper=np.array(upper),
+        binary=np.zeros(2, dtype=bool),
+    )
+
+
+@pytest.mark.parametrize("change, match", [
+    (dict(lower=(-np.inf, 0.0)), "column u "),
+    (dict(upper=(np.inf, np.nan)), "column v "),
+    (dict(upper=(-np.inf, 1.0)), "column u "),
+    (dict(objective=(1.0, np.inf)), "column v "),
+    (dict(coef=np.nan), "row r1 "),
+    (dict(rhs=np.inf), "row r1 "),
+], ids=["free-lower", "nan-upper", "minus-inf-upper", "inf-objective", "nan-coef", "inf-rhs"])
+def test_export_names_what_the_format_cannot_carry(change, match):
+    # These used to raise OverflowError or "cannot convert float NaN to integer".
+    with pytest.raises(ValueError, match=match):
+        export_lp(_two_column_model(**change))
+
+
 def test_parser_rejects_a_repeated_row(tiny_bundle):
     # Before, the later row replaced the first in ParsedLp.constraints, so
     # round_trip_matches accepted an export with an extra or changed copy.

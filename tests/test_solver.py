@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 import time
 
@@ -187,6 +188,25 @@ def test_symmetric_users_objective_unique(modcod):
     # Identical users; per-carrier fill mass is determined even if the split
     # between the two users is a tie.
     assert beta[0].sum(axis=1) == pytest.approx(beta[0].sum(axis=1)[::-1], abs=1e-6)
+
+
+# sha256 of brute_force(model).values.tobytes() on tiny seeds 1-5, pinned
+# from the one-LP-at-a-time oracle; the batched oracle returns the same plan.
+ORACLE_PLAN_SHA256 = {
+    1: "0328899be1ec233c43ee6e3f2df502a6875fabd4fbd75f2d613756714b877c63",
+    2: "76c03124c3cf9274f6edb91a2f1e7abf425ba5bc57f6df6e65231894cf66cbc4",
+    3: "1aed6ea64349689f8924d50ac6bba59e8f809e4c443f0682728d77ab5cad1a1e",
+    4: "333d16dd50731ea4b32b1ab71822b72920e3011f3e8f50a83f3bcaa7d354e17a",
+    5: "4406622dc7f346d7893ac7a80f451c42bd2d994473b9639555297cb268ab90f4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE_PLAN_SHA256))
+def test_oracle_plan_is_pinned(modcod, seed):
+    _, _, _, model = make_bundle(tiny_config(seed), modcod)
+    oracle = brute_force(model)
+    assert oracle.nodes_explored == 1536
+    assert hashlib.sha256(oracle.values.tobytes()).hexdigest() == ORACLE_PLAN_SHA256[seed]
 
 
 def test_brute_force_refuses_large_models(desk_bundle):
