@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class SystemConfig:
             raise ConfigError("; ".join(diags))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _record(self)
 
 
 # Keys that must be present in a JSON config document; the synthesis knobs
@@ -191,6 +191,11 @@ def load_config(path) -> SystemConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     return config_from_dict(doc)
+
+
+def _record(obj) -> dict:
+    """A flat record's fields by name; unlike ``asdict``, copies no value."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -259,10 +264,10 @@ class Scenario:
     def snapshot(self) -> dict:
         return {
             "config": self.config.to_dict(),
-            "beams": [asdict(b) for b in self.beams],
-            "clusters": [asdict(c) for c in self.clusters],
-            "carriers": [asdict(c) for c in self.carriers],
-            "users": [asdict(u) for u in self.users],
+            "beams": [_record(b) for b in self.beams],
+            "clusters": [_record(c) for c in self.clusters],
+            "carriers": [_record(c) for c in self.carriers],
+            "users": [_record(u) for u in self.users],
         }
 
     def snapshot_json(self) -> str:

@@ -15,6 +15,14 @@ solves LPs that share ``c, A, senses, b`` and differ only in their bounds:
 their tableaux live in one ``(B, m, N)`` array and pivot in lockstep. Both
 share the set-up and the finish, and a batch member's result is bit-identical
 to ``solve_dense`` on the same LP.
+
+The batch path works in place. Finished LPs leave the pivoting prefix of
+the batch axis by trading slots, and the rank-1 update goes through one
+reused buffer a quarter the size of the tableaux. The set-up allocates no
+other ``(B, m, N)`` array, so while pivoting a batch holds about 1.25 times
+its tableaux, plus ``(B, N)`` and ``(B, m)`` rows. A batch that runs phase 1
+copies its tableaux once more at the phase change, to put them back in LP
+order.
 """
 from __future__ import annotations
 
@@ -141,10 +149,9 @@ class _Tableaux:
         # added in row order as a lone LP adds them.
         z = np.zeros((B, N))
         if art_rows.size:
-            S = np.zeros((B, m + 1, N))
-            S[:, 0, core:] = -1.0
-            np.multiply(T, art[:, :, None], out=S[:, 1:])
-            z[:] = np.add.accumulate(S, axis=1, out=S)[:, -1]
+            z[:, core:] = -1.0
+            for i in art_rows.tolist():
+                np.add(z, T[:, i], out=z, where=art[:, i, None])
             z[lps, basis] = 0.0
 
         self.T, self.rhs, self.z, self.basis, self.sign, self.ub, self.art = T, bs, z, basis, sign, ub, art
@@ -199,24 +206,24 @@ class _Tableaux:
     def finish(self) -> list[LpSolution]:
         """Recover each optimal LP's point and check it against the rows and bounds."""
         n = self.c.size
-        out = [LpSolution(np.zeros(n), 0.0, status, int(iters))
-               for status, iters in zip(self.status, self.iterations)]
+        x = np.zeros((len(self.status), n))
         k = self.alive.nonzero()[0]
-        if not k.size:
-            return out
-        lo, up = self.lo[k], self.up[k]
-        x_ext = np.where(self.sign[k] < 0, self.ub[k], 0.0)
-        x_ext[np.arange(k.size)[:, None], self.basis[k]] = self.rhs[k]
-        x = np.clip(x_ext[:, :n] + lo, lo, up)
-        residual = _max_violation(self.A, self.codes, self.b, lo, up, x)
-        if (residual > RESIDUAL_TOL).any():
-            raise RuntimeError(
-                f"simplex returned an infeasible optimum (max violation {residual.max():.3e})"
-            )
-        for i, j in enumerate(k.tolist()):
-            values = x[i].copy()
-            out[j] = LpSolution(values, float(self.c @ values), "optimal", out[j].iterations)
-        return out
+        if k.size:
+            lo, up = self.lo[k], self.up[k]
+            x_ext = np.where(self.sign[k] < 0, self.ub[k], 0.0)
+            x_ext[np.arange(k.size)[:, None], self.basis[k]] = self.rhs[k]
+            x[k] = np.clip(x_ext[:, :n] + lo, lo, up)
+            residual = _max_violation(self.A, self.codes, self.b, lo, up, x[k])
+            if (residual > RESIDUAL_TOL).any():
+                raise RuntimeError(
+                    f"simplex returned an infeasible optimum (max violation {residual.max():.3e})"
+                )
+        # Each LP owns its point. The objective is one dot product per LP, as
+        # a lone LP computes it.
+        return [LpSolution(values, float(self.c @ values), "optimal", int(iters)) if alive
+                else LpSolution(values, 0.0, status, int(iters))
+                for values, alive, status, iters
+                in zip(map(np.ndarray.copy, x), self.alive.tolist(), self.status, self.iterations)]
 
 
 def _sense_codes(senses, m: int) -> np.ndarray:
@@ -299,66 +306,86 @@ def _iterate(T, rhs, z, basis, sign, ub, max_iter, bland_after):
 def _iterate_batch(tab: _Tableaux, lps: np.ndarray, phase: int) -> None:
     """Pivot the tableaux ``lps`` of ``tab`` in lockstep, each as ``_iterate`` would.
 
-    Works on copies of the unfinished LPs. An LP that finishes has its state
-    written back to ``tab`` and leaves the copies, which shrink only then.
+    Works in place on ``tab``'s arrays, with the unfinished LPs in a prefix
+    of the batch axis. An LP that finishes trades slots with an unfinished
+    one from behind the shorter prefix, so a retirement copies at most two
+    tableaux per finished LP. At the end every LP's basis, point and
+    pricing row return to its own slot, and after phase 1 its tableau too.
+    The rank-1 update runs in quarters of the batch through one reused
+    buffer, which also stages the trades: the working set is 1.25 times the
+    tableaux of the LPs that take part.
     """
-    if lps.size == tab.T.shape[0]:
-        T, rhs, z, basis, sign, ub = tab.T, tab.rhs, tab.z, tab.basis, tab.sign, tab.ub
-    else:
-        T, rhs, z = tab.T[lps], tab.rhs[lps], tab.z[lps]
-        basis, sign, ub = tab.basis[lps], tab.sign[lps], tab.ub[lps]
-    max_iter, bland_after = tab.max_iter[lps], tab.bland_after[lps]
-    stall = np.zeros(lps.size, dtype=np.int64)
-    bland = np.zeros(lps.size, dtype=bool)
-    m = rhs.shape[1]
+    if not lps.size:
+        return
+    T_all = tab.T
+    small = (tab.rhs, tab.z, tab.basis, tab.sign, tab.ub)
+    slot_lp = np.arange(T_all.shape[0])
+    n = lps.size
+    taking_part = np.zeros(slot_lp.size, dtype=bool)
+    taking_part[lps] = True
+    front = (~taking_part[:n]).nonzero()[0]
+    update = np.empty((max(2, (n + 3) // 4),) + T_all.shape[1:])
+
+    def trade(a, b):
+        step = update.shape[0] // 2
+        for i in range(0, a.size, step):
+            ai, bi = a[i:i + step], b[i:i + step]
+            k = ai.size
+            np.take(T_all, ai, axis=0, out=update[:k], mode="clip")
+            np.take(T_all, bi, axis=0, out=update[k:2 * k], mode="clip")
+            T_all[bi], T_all[ai] = update[:k], update[k:2 * k]
+        for arr in (*small, slot_lp):
+            arr[a], arr[b] = arr[b], arr[a]
+
+    def prefix():
+        return [arr[:n] for arr in (T_all, *small)]
+
+    # Move the LPs that take part to the front.
+    trade(front, lps[lps >= n])
+    max_iter, bland_after = tab.max_iter[slot_lp[:n]], tab.bland_after[slot_lp[:n]]
+    stall = np.zeros(n, dtype=np.int64)
+    bland = np.zeros(n, dtype=bool)
     it = 0
 
     def retire(done, status):
-        nonlocal lps, T, rhs, z, basis, sign, ub, max_iter, bland_after, stall, bland
-        gone = lps[done]
-        tab.T[gone], tab.rhs[gone], tab.z[gone] = T[done], rhs[done], z[done]
-        tab.basis[gone], tab.sign[gone] = basis[done], sign[done]
-        tab.settle(gone, status, it, phase)
-        keep = ~done
-        lps, T, rhs, z, basis, sign, ub = lps[keep], T[keep], rhs[keep], z[keep], basis[keep], sign[keep], ub[keep]
+        """Settle the LPs ``done`` and shrink the prefix; map old slots to new ones."""
+        nonlocal n, max_iter, bland_after, stall, bland
+        tab.settle(slot_lp[:n][done], status, it, phase)
+        live = n - int(done.sum())
+        holes = done[:live].nonzero()[0]
+        keep = np.arange(live)
+        keep[holes] = live + (~done[live:]).nonzero()[0]
+        trade(holes, keep[holes])
+        n = live
         max_iter, bland_after, stall, bland = max_iter[keep], bland_after[keep], stall[keep], bland[keep]
         return keep
 
-    while lps.size:
+    while n:
         it += 1
         if (it > max_iter).any():
             raise RuntimeError(f"simplex stalled after {it - 1} iterations")
+        T, rhs, z, basis, sign, ub = prefix()
         improving = (ub > 0.0) & (sign * z > PIVOT_TOL)
         done = ~improving.any(axis=1)
         if done.any():
             improving = improving[retire(done, "optimal")]
-            if not lps.size:
-                return
-        r = np.arange(lps.size)
+            if not n:
+                break
+            T, rhs, z, basis, sign, ub = prefix()
+        r = np.arange(n)
         e = np.where(bland, improving.argmax(axis=1),
                      np.where(improving, np.abs(z), -1.0).argmax(axis=1))
         d = sign[r, e]
         col = d[:, None] * T[r, :, e]
 
-        t_best = ub[r, e]
-        leave = np.full(lps.size, -1)
-        if m:
-            ub_basis = ub[r[:, None], basis]
-            ratios = np.full((lps.size, m), np.inf)
-            np.divide(np.maximum(rhs, 0.0), col, out=ratios, where=col > PIVOT_TOL)
-            np.divide(ub_basis - np.minimum(rhs, ub_basis), -col, out=ratios,
-                      where=(col < -PIVOT_TOL) & (ub_basis < np.inf))
-            rmin = ratios.min(axis=1)
-            by_row = rmin < t_best
-            ties = np.where(ratios == rmin[:, None], basis, ub.shape[1])
-            leave = np.where(by_row, ties.argmin(axis=1), -1)
-            t_best = np.where(by_row, rmin, t_best)
+        leave, t_best = _ratio_test(rhs, col, basis, ub, ub[r, e])
         done = ~np.isfinite(t_best)
         if done.any():
             keep = retire(done, "unbounded")
-            if not lps.size:
-                return
-            r = np.arange(lps.size)
+            if not n:
+                break
+            T, rhs, z, basis, sign, ub = prefix()
+            r = np.arange(n)
             e, d, col, t_best, leave = e[keep], d[keep], col[keep], t_best[keep], leave[keep]
 
         gain = np.abs(z[r, e]) * t_best
@@ -377,13 +404,41 @@ def _iterate_batch(tab: _Tableaux, lps: np.ndarray, phase: int) -> None:
         sign[p, basis[p, lv]] = np.where(col[p, lv] < 0.0, -1.0, 1.0)
         enter_val = np.where(d[p] > 0, t_best[p], ub[p, ep] - t_best[p])
         row = np.where(pivots, leave, 0)
-        prow = T[r, row] / np.where(pivots, T[r, row, e], 1.0)[:, None]
+        prow = T[r, row]
+        prow /= np.where(pivots, T[r, row, e], 1.0)[:, None]
         T[p, lv] = prow[p]
         colv = T[r, :, e]
         colv[r, row] = 0.0
         colv[flips] = 0.0
-        np.subtract(T, colv[:, :, None] * prow[:, None, :], out=T, where=pivots[:, None, None])
+        h = update.shape[0]
+        for i in range(0, n, h):
+            j = min(i + h, n)
+            np.multiply(colv[i:j, :, None], prow[i:j, None, :], out=update[:j - i])
+            np.subtract(T[i:j], update[:j - i], out=T[i:j],
+                        where=True if p.size == n else pivots[i:j, None, None])
         np.subtract(z, z[r, e][:, None] * prow, out=z, where=pivots[:, None])
         rhs[p, lv] = enter_val
         basis[p, lv] = ep
         sign[p, ep] = 0.0
+
+    del update
+    # Send every LP back to its own slot. Phase 2 starts from the phase-1
+    # tableaux, but the finish reads none.
+    moved = (slot_lp != np.arange(slot_lp.size)).nonzero()[0]
+    for arr in (T_all, *small) if phase == 1 else small:
+        arr[slot_lp[moved]] = arr[moved]
+
+
+def _ratio_test(rhs, col, basis, ub, t_best):
+    """Leaving row (-1 for a bound flip) and step of each LP in a batch."""
+    if not rhs.shape[1]:
+        return np.full(rhs.shape[0], -1), t_best
+    ub_basis = np.take_along_axis(ub, basis, axis=1)
+    ratios = np.full(rhs.shape, np.inf)
+    np.divide(np.maximum(rhs, 0.0), col, out=ratios, where=col > PIVOT_TOL)
+    np.divide(ub_basis - np.minimum(rhs, ub_basis), -col, out=ratios,
+              where=(col < -PIVOT_TOL) & (ub_basis < np.inf))
+    rmin = ratios.min(axis=1)
+    by_row = rmin < t_best
+    ties = np.where(ratios == rmin[:, None], basis, ub.shape[1])
+    return np.where(by_row, ties.argmin(axis=1), -1), np.where(by_row, rmin, t_best)

@@ -495,8 +495,10 @@ class _JointCounts:
 
 MAX_ORACLE_BINARIES = 24
 MAX_ORACLE_PATTERNS = 2_000_000
-# Tableau bytes of one batch of oracle LPs: bounds the batch's working set.
-ORACLE_BATCH_BYTES = 128 * 1024
+# Tableau bytes of one batch of oracle LPs. The batch's working set is about
+# 1.25 times this: the tableaux and a rank-1 update buffer of a quarter of
+# their size.
+ORACLE_BATCH_BYTES = 1024 * 1024
 
 
 def brute_force(model: ModelInstance) -> MilpSolution:
@@ -506,7 +508,9 @@ def brute_force(model: ModelInstance) -> MilpSolution:
     carrier-count / activation-cap / adjacency filters, solves the continuous
     (fill-rate, floors) LP for each, and returns the best. Illumination
     patterns with equal per-cluster slot counts share one set of LPs, which
-    differ only in their bounds and are solved in batches. Exact up to LP
+    differ only in their bounds. Each slot-count vector's LPs go to
+    ``solve_dense_batch`` in chunks of at most ``ORACLE_BATCH_BYTES`` of
+    tableau; on tiny models that is one batch per vector. Exact up to LP
     tolerance; refuses models with more than 24 binaries.
     """
     cat = model.catalog

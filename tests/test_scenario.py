@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from bhca.cli import resolve_config_path
 from bhca.scenario import (
     Beam,
     Cluster,
@@ -13,6 +15,7 @@ from bhca.scenario import (
     adjacency_pairs,
     config_from_dict,
     generate_scenario,
+    load_config,
 )
 
 from conftest import tiny_config, desk_config
@@ -23,6 +26,21 @@ def test_seeded_generation_is_byte_identical():
     a = generate_scenario(cfg)
     b = generate_scenario(cfg)
     assert a.snapshot_json() == b.snapshot_json()
+
+
+# sha256 of ``scenario.json`` for the shipped configs, pinned from the
+# ``dataclasses.asdict`` serializer; the snapshot must keep its bytes.
+SNAPSHOT_SHA256 = {
+    ("desk", 1): "eae40a32505ab2aaa1defa9349d2c4457c931fea3354a9b371dff90784fb5361",
+    ("table2", 7): "66206d560ea67f14e4f902959aa391e8dc52ed32dab4f40caa3a73695c8c4295",
+}
+
+
+@pytest.mark.parametrize("config,seed", sorted(SNAPSHOT_SHA256))
+def test_snapshot_json_is_pinned(config, seed):
+    cfg = dataclasses.replace(load_config(resolve_config_path(config)), rng_seed=seed)
+    text = generate_scenario(cfg).snapshot_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == SNAPSHOT_SHA256[config, seed]
 
 
 def test_sixteen_beams_two_per_cluster_gives_eight_clusters():

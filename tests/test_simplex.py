@@ -242,6 +242,30 @@ def test_batch_of_one_and_of_none():
     assert solve_dense_batch(c, A, senses, b, np.zeros((0, 2)), np.zeros((0, 2))) == []
 
 
+def test_large_batch_equals_single_bit_for_bit():
+    # 256 LPs over one set of rows. The >= and = rows need artificials, so
+    # phase 1 runs; x6 is unbounded above unless its upper bound is finite.
+    # The bounds spread the members' finishing iterations, and about 5% of
+    # the members get crossed bounds.
+    c = [1.0, 2.0, 1.0, -1.0, 1.5, 0.5, 1.0]
+    A = [[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+         [1.0, 2.0, 0.0, 0.0, -1.0, 0.0, -1.0],
+         [0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 0.0],
+         [0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0],
+         [1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0]]
+    senses, b = [">=", "<=", "=", "<=", ">="], [1.0, 4.0, 1.0, 5.0, -2.0]
+    rng = np.random.default_rng(0)
+    lowers = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0], (256, 7))
+    uppers = lowers + rng.choice([INF, 0.25, 0.5, 1.0, 2.0, 3.0], (256, 7))
+    crossed = rng.random(256) < 0.05
+    uppers[crossed, rng.integers(0, 7, crossed.sum())] = -1.0
+    sols = _both(c, A, senses, b, lowers, uppers)
+    statuses = [s.status for s in sols]
+    assert min(statuses.count(status) for status in ("optimal", "infeasible", "unbounded")) >= 30
+    assert [s.iterations == 0 for s in sols] == crossed.tolist()
+    assert len({s.iterations for s in sols}) >= 8
+
+
 _VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.25, 1.0, 1.5, 3.0])
 _LOWERS = st.sampled_from([0.0, 0.0, 0.5, 1.0, -1.0])
 _UPPERS = st.sampled_from([INF, INF, 0.0, 0.5, 1.0, 2.0, -0.5])

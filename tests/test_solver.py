@@ -27,6 +27,7 @@ from bhca.scenario import (
     adjacency_pairs,
     load_config,
 )
+from bhca.simplex import solve_dense_batch
 from bhca.solver import (
     SolverOptions,
     branch_and_bound,
@@ -207,6 +208,30 @@ def test_oracle_plan_is_pinned(modcod, seed):
     oracle = brute_force(model)
     assert oracle.nodes_explored == 1536
     assert hashlib.sha256(oracle.values.tobytes()).hexdigest() == ORACLE_PLAN_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_oracle_batch_cap_keeps_the_plan(modcod, seed, monkeypatch):
+    # A tiny model solves each slot-count vector's 256 assignment LPs in one
+    # batch. A smaller cap splits them over several batches, and must not
+    # change what the oracle returns. A cap of 1 byte gives one LP per batch;
+    # 30,000 bytes gives 7 LPs of 13 rows and 12 columns per batch.
+    _, _, _, model = make_bundle(tiny_config(seed), modcod)
+    sizes = []
+
+    def counting(c, A, senses, b, lowers, uppers):
+        sizes.append(len(lowers))
+        return solve_dense_batch(c, A, senses, b, lowers, uppers)
+
+    monkeypatch.setattr("bhca.solver.solve_dense_batch", counting)
+    want = brute_force(model)
+    assert sizes == [256] * 6
+    for cap in (1, 30_000):
+        monkeypatch.setattr("bhca.solver.ORACLE_BATCH_BYTES", cap)
+        got = brute_force(model)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.objective == want.objective
+        assert got.nodes_explored == want.nodes_explored == 1536
 
 
 def test_brute_force_refuses_large_models(desk_bundle):
