@@ -52,8 +52,7 @@ for fam in sorted(families):
     print(f"  {fam:4s} x{families[fam]:3d}  {meanings.get(fam, '')}")
 print()
 
-names = cat.col_names()
-nz = [(names[j], v) for j, v in enumerate(model.objective.tolist()) if v]
+nz = [(cat.names[j], v) for j, v in enumerate(model.objective.tolist()) if v]
 print("objective (maximize):", " + ".join(f"{v:g} {n}" for n, v in nz))
 print()
 

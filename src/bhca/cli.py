@@ -28,7 +28,7 @@ from .linkbudget import ModcodTable, compute_rate_table
 # plan); the name stays bound because bench/tracing.py wraps it.
 from .model import InfeasibleSolutionError, build_model, decode_plan, validate_solution  # noqa: F401
 from .lp_format import export_lp
-from .scenario import ConfigError, adjacency_pairs, generate_scenario, load_config
+from .scenario import ConfigError, SystemConfig, adjacency_pairs, config_from_dict, generate_scenario
 from .solver import SolverOptions, solve_milp
 
 logger = logging.getLogger("bhca")
@@ -54,25 +54,28 @@ def resolve_config_path(name_or_path: str) -> str:
     return name_or_path
 
 
-def validate_config(path: str) -> list[str]:
-    """Return diagnostics for a config document (empty means valid)."""
-    resolved = resolve_config_path(path)
+def _read_config(path: str) -> tuple[SystemConfig | None, list[str]]:
+    """Read a config document; return it and its diagnostics (empty means
+    valid). The config is ``None`` when the document cannot be read as one."""
     try:
-        with open(resolved, "r", encoding="utf-8") as fh:
+        with open(resolve_config_path(path), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        return [f"cannot read config: {exc}"]
+        return None, [f"cannot read config: {exc}"]
     except json.JSONDecodeError as exc:
-        return [f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"]
+        return None, [f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"]
     if not isinstance(doc, dict):
-        return ["config document must be a JSON object"]
+        return None, ["config document must be a JSON object"]
     try:
-        from .scenario import config_from_dict
-
         config = config_from_dict(doc)
     except ConfigError as exc:
-        return [str(exc)]
-    return config.validate()
+        return None, [str(exc)]
+    return config, config.validate()
+
+
+def validate_config(path: str) -> list[str]:
+    """Return diagnostics for a config document (empty means valid)."""
+    return _read_config(path)[1]
 
 
 @dataclass
@@ -117,13 +120,12 @@ def _summary(report: metrics.MetricsReport, extra: dict | None = None) -> dict:
 
 def run(manifest: RunManifest) -> int:
     """Execute a full experiment; returns the process exit status."""
-    diags = validate_config(manifest.config)
+    config, diags = _read_config(manifest.config)
     if diags:
         for d in diags:
             print(f"config error: {d}", file=sys.stderr)
         return EXIT_CONFIG
 
-    config = load_config(resolve_config_path(manifest.config))
     if manifest.seed is not None:
         config = dataclasses.replace(config, rng_seed=manifest.seed)
     if manifest.scheme not in ("bhca", "bh", "both"):

@@ -84,10 +84,6 @@ class RateTable:
     rate_bps: np.ndarray       # (L, C, U), bits/s
     rate_per_slot: np.ndarray  # (L, C, U), bits/slot
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.sinr_db.shape
-
 
 def compute_rate_table(scenario: Scenario, modcod: ModcodTable) -> RateTable:
     """Evaluate the link budget for every (cluster, carrier, user) triple.

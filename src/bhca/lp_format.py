@@ -142,7 +142,7 @@ def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
 
 def export_lp(model: ModelInstance) -> str:
     """Render the model as CPLEX-LP text; repeated calls are byte-identical."""
-    names = np.array(model.catalog.col_names(), dtype=object)
+    names = np.fromiter(model.catalog.names, dtype=object, count=model.num_cols)
     _check_writable(model, names)
     out = ["\\ Problem: bhca\nMaximize\n"]
 
@@ -306,7 +306,7 @@ def parse_lp(text: str) -> ParsedLp:
 
 def model_canonical_rows(model: ModelInstance):
     """The model's rows in the same comparable shape ParsedLp produces."""
-    names = model.catalog.col_names()
+    names = list(model.catalog.names)
     cols, coefs, ptr = model.cols.tolist(), model.coefs.tolist(), model.indptr.tolist()
     rows = {}
     for tag, sense, rhs, start, stop in zip(
@@ -322,7 +322,7 @@ def round_trip_matches(model: ModelInstance, parsed: ParsedLp) -> bool:
     rows, bounds and binaries."""
     if parsed.canonical_rows() != model_canonical_rows(model):
         return False
-    names = model.catalog.col_names()
+    names = list(model.catalog.names)
     obj_cols = np.nonzero(model.objective)[0].tolist()
     bound_cols = _bound_cols(model).tolist()
     return (

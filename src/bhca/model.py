@@ -48,6 +48,8 @@ class VariableCatalog:
     ``z`` (l,t), ``tU`` (l), ``tL``, ``theta``, each family lexicographic by
     its index tuple. ``a`` and ``beta`` share an index space and carry no time
     axis: assignments and fill-rates hold for the whole hopping window.
+    ``names`` holds the wire names, with 1-based indices: ``a_l_c_u``,
+    ``beta_l_c_u``, ``q_l_c_u_t``, ``z_l_t``, ``tU_l``, ``tL``, ``theta``.
     """
 
     def __init__(self, num_clusters: int, num_carriers: int, num_users: int, num_slots: int):
@@ -64,6 +66,13 @@ class VariableCatalog:
         self.off_tl = self.off_tu + num_clusters
         self.off_theta = self.off_tl + 1
         self.num_cols = self.off_theta + 1
+        ls, cs, us, ts = (
+            index_labels("", n) for n in (num_clusters, num_carriers, num_users, num_slots)
+        )
+        self.names = GridNames([
+            ("a", (ls, cs, us)), ("beta", (ls, cs, us)), ("q", (ls, cs, us, ts)),
+            ("z", (ls, ts)), ("tU", (ls,)), ("tL", ()), ("theta", ()),
+        ])
 
     def a_col(self, l: int, c: int, u: int) -> int:
         return self.off_a + (l * self.num_carriers + c) * self.num_users + u
@@ -87,48 +96,6 @@ class VariableCatalog:
     @property
     def theta_col(self) -> int:
         return self.off_theta
-
-    def col_name(self, j: int) -> str:
-        """Wire name with 1-based indices: a_l_c_u, beta_l_c_u, q_l_c_u_t, z_l_t, tU_l, tL, theta."""
-        C, U, T = self.num_carriers, self.num_users, self.num_slots
-        if j < self.off_beta:
-            l, rem = divmod(j - self.off_a, C * U)
-            c, u = divmod(rem, U)
-            return f"a_{l + 1}_{c + 1}_{u + 1}"
-        if j < self.off_q:
-            l, rem = divmod(j - self.off_beta, C * U)
-            c, u = divmod(rem, U)
-            return f"beta_{l + 1}_{c + 1}_{u + 1}"
-        if j < self.off_z:
-            l, rem = divmod(j - self.off_q, C * U * T)
-            c, rem = divmod(rem, U * T)
-            u, t = divmod(rem, T)
-            return f"q_{l + 1}_{c + 1}_{u + 1}_{t + 1}"
-        if j < self.off_tu:
-            l, t = divmod(j - self.off_z, T)
-            return f"z_{l + 1}_{t + 1}"
-        if j < self.off_tl:
-            return f"tU_{j - self.off_tu + 1}"
-        if j == self.off_tl:
-            return "tL"
-        if j == self.off_theta:
-            return "theta"
-        raise IndexError(j)
-
-    def col_names(self) -> list[str]:
-        """``col_name(j)`` of every column, in column order."""
-        ls, cs, us, ts = (
-            index_labels("", n)
-            for n in (self.num_clusters, self.num_carriers, self.num_users, self.num_slots)
-        )
-        return np.concatenate([
-            _label_product("a", (ls, cs, us)),
-            _label_product("beta", (ls, cs, us)),
-            _label_product("q", (ls, cs, us, ts)),
-            _label_product("z", (ls, ts)),
-            _label_product("tU", (ls,)),
-            np.array(["tL", "theta"], dtype=object),
-        ]).tolist()
 
     def lower(self) -> np.ndarray:
         return np.zeros(self.num_cols)
@@ -154,20 +121,12 @@ class BaselineCatalog:
         self.off_z = 0
         self.theta_col = num_clusters * num_slots
         self.num_cols = self.theta_col + 1
+        self.names = GridNames([
+            ("z", (index_labels("", num_clusters), index_labels("", num_slots))), ("theta", ()),
+        ])
 
     def z_col(self, l: int, t: int) -> int:
         return l * self.num_slots + t
-
-    def col_name(self, j: int) -> str:
-        if j < self.theta_col:
-            l, t = divmod(j, self.num_slots)
-            return f"z_{l + 1}_{t + 1}"
-        return "theta"
-
-    def col_names(self) -> list[str]:
-        """``col_name(j)`` of every column, in column order."""
-        z = _label_product("z", (index_labels("", self.num_clusters), index_labels("", self.num_slots)))
-        return [*z.tolist(), "theta"]
 
 
 @dataclass(frozen=True)
@@ -202,17 +161,18 @@ def _label_product(head: str, axes) -> np.ndarray:
     return names
 
 
-class RowTags(Sequence):
-    """Row names of an assembled model, rendered on demand.
+class GridNames(Sequence):
+    """Names of a model's rows or columns, rendered on demand.
 
-    Each block names a run of rows ``family_<label>_<label>...``, one label
+    Each block names a run of entries ``head_<label>_<label>...``, one label
     per axis, in row-major order over the axes; an axis is a tuple of label
-    strings. Names are built only when read: one at a time by index, a block
-    at a time by iteration.
+    strings, and a block without axes is one entry named ``head``. Names are
+    built only when read: one at a time by index, a block at a time by
+    iteration.
     """
 
     def __init__(self, blocks):
-        self._blocks = tuple((family, tuple(axes)) for family, axes in blocks)
+        self._blocks = tuple((head, tuple(axes)) for head, axes in blocks)
         sizes = [math.prod(len(axis) for axis in axes) for _, axes in self._blocks]
         self._starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
 
@@ -226,13 +186,13 @@ class RowTags(Sequence):
         if not 0 <= i < len(self):
             raise IndexError(i)
         b = int(np.searchsorted(self._starts, i, side="right")) - 1
-        family, axes = self._blocks[b]
+        head, axes = self._blocks[b]
         idx = np.unravel_index(i - int(self._starts[b]), [len(axis) for axis in axes])
-        return "_".join([family, *(axis[k] for axis, k in zip(axes, idx))])
+        return "_".join([head, *(axis[k] for axis, k in zip(axes, idx))])
 
     def __iter__(self):
         return itertools.chain.from_iterable(
-            _label_product(family, axes).tolist() for family, axes in self._blocks
+            _label_product(head, axes).tolist() for head, axes in self._blocks
         )
 
 
@@ -275,7 +235,7 @@ class RowBuilder:
             coefs=np.concatenate(self.coefs),
             senses=np.concatenate(self.senses),
             rhs=np.concatenate(self.rhs),
-            tags=RowTags(self.blocks),
+            tags=GridNames(self.blocks),
         )
 
 
@@ -477,10 +437,11 @@ def validate_solution(model: ModelInstance, assignment: np.ndarray) -> Violation
         raise StructuralError(
             f"assignment covers {x.shape} columns, model has {model.num_cols}"
         )
+    names = model.catalog.names
     nonfinite = np.nonzero(~np.isfinite(x))[0]
     if nonfinite.size:
         return ViolationReport(entries=tuple(
-            (f"nonfinite_{model.catalog.col_name(j)}", math.inf) for j in nonfinite.tolist()
+            (f"nonfinite_{names[j]}", math.inf) for j in nonfinite.tolist()
         ))
     lhs = model.row_values(x)
     excess = np.where(
@@ -492,12 +453,12 @@ def validate_solution(model: ModelInstance, assignment: np.ndarray) -> Violation
     low_viol = model.lower - x
     up_viol = x - model.upper
     for j in np.nonzero(low_viol > VALIDATION_TOL)[0]:
-        entries.append((f"bound_{model.catalog.col_name(int(j))}", float(low_viol[j])))
+        entries.append((f"bound_{names[j]}", float(low_viol[j])))
     for j in np.nonzero(up_viol > VALIDATION_TOL)[0]:
-        entries.append((f"bound_{model.catalog.col_name(int(j))}", float(up_viol[j])))
+        entries.append((f"bound_{names[j]}", float(up_viol[j])))
     frac = np.abs(x - np.round(x))
     for j in np.nonzero(model.binary & (frac > VALIDATION_TOL))[0]:
-        entries.append((f"integrality_{model.catalog.col_name(int(j))}", float(frac[j])))
+        entries.append((f"integrality_{names[j]}", float(frac[j])))
     return ViolationReport(entries=tuple(entries))
 
 

@@ -76,10 +76,6 @@ class SystemConfig:
         return self.users_per_beam * self.beams_per_cluster
 
     @property
-    def total_users(self) -> int:
-        return self.users_per_cluster * self.num_clusters
-
-    @property
     def symbol_rate(self) -> float:
         return self.carrier_bandwidth / (1.0 + self.roll_off)
 
@@ -242,10 +238,6 @@ class Scenario:
     clusters: tuple[Cluster, ...]
     carriers: tuple[Carrier, ...]
     users: tuple[User, ...]
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.clusters)
 
     def users_of_cluster(self, cluster_id: int) -> tuple[User, ...]:
         return tuple(self.users[u] for u in self.clusters[cluster_id].user_ids)

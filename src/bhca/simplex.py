@@ -13,8 +13,12 @@ termination on degenerate models.
 ``solve_dense`` solves one LP with a scalar pivot loop. ``solve_dense_batch``
 solves LPs that share ``c, A, senses, b`` and differ only in their bounds:
 their tableaux live in one ``(B, m, N)`` array and pivot in lockstep. Both
-share the set-up and the finish, and a batch member's result is bit-identical
-to ``solve_dense`` on the same LP.
+share the set-up, the finish and the pricing row each phase starts from,
+``z = cost - cost_B T`` with cost -1 on the artificials in phase 1 and ``c``
+in phase 2. That row adds the tableau rows in order, column by column, so
+it does not depend on the other LPs of a batch or on the artificial slots an
+LP does not use, and a batch member's result is bit-identical to
+``solve_dense`` on the same LP.
 
 The batch path works in place. Finished LPs leave the pivoting prefix of
 the batch axis by trading slots, and the rank-1 update goes through one
@@ -129,32 +133,29 @@ class _Tableaux:
         N = core + art_rows.size
         slack_col = np.full(m, -1)
         slack_col[slack_rows] = n + np.arange(slack_rows.size)
-        self.art_col = np.full(m, -1)
-        self.art_col[art_rows] = core + np.arange(art_rows.size)
+        art_col = np.full(m, -1)
+        art_col[art_rows] = core + np.arange(art_rows.size)
 
         T = np.zeros((B, m, N))
         T[:, :, :n] = As
         np.negative(T[:, :, :n], out=T[:, :, :n], where=flip[:, :, None])
         T[:, slack_rows, slack_col[slack_rows]] = np.where(art[:, slack_rows], -1.0, 1.0)
-        T[:, art_rows, self.art_col[art_rows]] = art[:, art_rows]
+        T[:, art_rows, art_col[art_rows]] = art[:, art_rows]
         ub = np.full((B, N), np.inf)
         ub[:, :n] = np.maximum(up - lo, 0.0)
         ub[:, core:] = np.where(art[:, art_rows], np.inf, 0.0)
-        basis = np.where(art, self.art_col, slack_col)
+        basis = np.where(art, art_col, slack_col)
         lps = np.arange(B)[:, None]
         sign = np.ones((B, N))
         sign[lps, basis] = 0.0
 
-        # Phase-1 row: minus the artificials plus the rows that carry one,
-        # added in row order as a lone LP adds them.
-        z = np.zeros((B, N))
+        self.T, self.rhs, self.basis, self.sign, self.ub, self.art = T, bs, basis, sign, ub, art
+        self.z = np.zeros((B, N))
         if art_rows.size:
-            z[:, core:] = -1.0
-            for i in art_rows.tolist():
-                np.add(z, T[:, i], out=z, where=art[:, i, None])
-            z[lps, basis] = 0.0
-
-        self.T, self.rhs, self.z, self.basis, self.sign, self.ub, self.art = T, bs, z, basis, sign, ub, art
+            # Phase 1 maximises minus the sum of the artificials.
+            cost = np.zeros(N)
+            cost[core:] = -1.0
+            self.price(cost)
         self.infeasible_tol = 1e-7 * np.maximum(1.0, np.abs(bs).max(axis=1, initial=0.0))
         # Caps follow each LP's own column count, without unused slots.
         width = m + core + art.sum(axis=1)
@@ -172,36 +173,29 @@ class _Tableaux:
                 self.status[k] = status
 
     def phase_two(self) -> None:
-        """Drop the LPs phase 1 left infeasible; price the rest on ``c``."""
-        B, m, N = self.T.shape
-        core = self.core
-        self.ub[:, core:] = 0.0
-        k = self.alive.nonzero()[0]
-        if N > core and m:
-            left = np.where(self.basis[k] >= core, np.maximum(self.rhs[k], 0.0), 0.0)
+        """Drop the LPs phase 1 left infeasible; price on ``c``."""
+        _, m, N = self.T.shape
+        self.ub[:, self.core:] = 0.0
+        if N > self.core and m:
+            k = self.alive.nonzero()[0]
+            left = np.where(self.basis[k] >= self.core, np.maximum(self.rhs[k], 0.0), 0.0)
             feasible = np.add.accumulate(left, axis=1)[:, -1] <= self.infeasible_tol[k]
             self.alive[k[~feasible]] = False
-            k = k[feasible]
+        cost = np.zeros(N)
+        cost[:self.c.size] = self.c
+        self.price(cost)
 
-        c_ext = np.zeros(N)
-        c_ext[:self.c.size] = self.c
-        own = self.art[k].sum(axis=1)
-        for count in sorted(set(own.tolist())):
-            g = k[own == count]
-            lps = np.arange(g.size)[:, None]
-            # The product runs on each LP's own columns, as a lone LP's does:
-            # its BLAS rounding depends on the matrix width.
-            if count == N - core:
-                cols = np.arange(N)
-                T = self.T if g.size == B else self.T[g]
-            else:
-                arts = np.broadcast_to(self.art_col, (g.size, m))[self.art[g]].reshape(g.size, count)
-                cols = np.hstack([np.broadcast_to(np.arange(core), (g.size, core)), arts])
-                T = self.T[g[:, None, None], np.arange(m)[:, None], cols[:, None, :]]
-            z = np.zeros((g.size, N))
-            z[lps, cols] = c_ext[cols] - np.matmul(c_ext[self.basis[g]][:, None, :], T)[:, 0, :]
-            z[lps, self.basis[g]] = 0.0
-            self.z[g] = z
+    def price(self, cost: np.ndarray) -> None:
+        """Set every LP's pricing row to ``z = cost - cost_B T``.
+
+        ``einsum`` loops over the columns innermost and adds the rows in
+        order, so an entry does not depend on the other LPs or on the
+        number of columns, as a BLAS product's rounding would: a batch
+        member prices as the same LP alone.
+        """
+        np.einsum("km,kmn->kn", cost[self.basis], self.T, out=self.z)
+        np.subtract(cost, self.z, out=self.z)
+        self.z[np.arange(self.z.shape[0])[:, None], self.basis] = 0.0
 
     def finish(self) -> list[LpSolution]:
         """Recover each optimal LP's point and check it against the rows and bounds."""

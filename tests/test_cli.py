@@ -151,6 +151,30 @@ def test_main_validate_config_subcommand(tmp_path, capsys):
     assert main(["validate-config", "--config", "table2"]) == EXIT_OK
 
 
+# Each case breaks one rule of SystemConfig.validate on the (valid) defaults.
+@pytest.mark.parametrize("change, message", [
+    (dict(users_per_beam=0), "users_per_beam must be an integer >= 1"),
+    (dict(num_beams=15), "num_beams must equal num_clusters * beams_per_cluster"),
+    (dict(active_clusters_per_slot=8, num_transponders=16),
+     "active_clusters_per_slot must be < num_clusters"),
+    (dict(num_transponders=3),
+     "active_clusters_per_slot * carriers_per_cluster must be <= num_transponders"),
+    (dict(carrier_bandwidth=0.0), "carrier_bandwidth must be > 0"),
+    (dict(carrier_bandwidth=600e6), "carrier_bandwidth must be <= system_bandwidth"),
+    (dict(roll_off=1.0), "roll_off must be in [0, 1)"),
+    (dict(slot_duration=0.0), "slot_duration must be > 0"),
+    (dict(high_demand_fraction=1.5), "high_demand_fraction must be in [0, 1]"),
+    (dict(beam_pitch_km=0.0), "beam_pitch_km must be > 0"),
+])
+def test_each_config_rule_reports_its_message(tmp_path, capsys, change, message):
+    config = SystemConfig(**change)
+    assert config.validate() == [message]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config.to_dict()))
+    assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == message + "\n"
+
+
 def test_main_run_subcommand(tmp_path, tiny_config_file):
     out = tmp_path / "cli_out"
     status = main([

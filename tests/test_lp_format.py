@@ -170,12 +170,6 @@ class _Columns:
     def __init__(self, names):
         self.names = list(names)
 
-    def col_name(self, j):
-        return self.names[j]
-
-    def col_names(self):
-        return list(self.names)
-
 
 def _edge_model():
     n = 30

@@ -57,9 +57,9 @@ def test_constraint_family_counts(tiny_bundle):
 def test_exactly_one_tl_column_and_c8b_row(tiny_bundle):
     _, _, _, model = tiny_bundle
     cat = model.catalog
-    assert cat.col_name(cat.tl_col) == "tL"
+    assert cat.names[cat.tl_col] == "tL"
     assert list(model.tags).count("C8b") == 1
-    names = [cat.col_name(j) for j in range(model.num_cols)]
+    names = list(cat.names)
     assert names.count("tL") == 1 and names.count("theta") == 1
 
 
@@ -73,16 +73,6 @@ def test_row_tags_read_by_index_match_their_order(tiny_bundle):
         tags[len(tags)]
 
 
-@pytest.mark.parametrize("config", ["tiny", "desk", "table2"])
-def test_col_names_match_col_name(config):
-    # table2 has two-digit user and slot indices.
-    cfg = tiny_config() if config == "tiny" else load_config(resolve_config_path(config))
-    L, T = cfg.num_clusters, cfg.slots_per_window
-    for cat in (VariableCatalog(L, cfg.carriers_per_cluster, cfg.users_per_cluster, T),
-                BaselineCatalog(L, T)):
-        assert cat.col_names() == [cat.col_name(j) for j in range(cat.num_cols)]
-
-
 def test_tags_iterate_as_read_by_index(modcod):
     cfg = dataclasses.replace(load_config(resolve_config_path("desk")), rng_seed=1)
     _, _, _, desk = make_bundle(cfg, modcod)
@@ -92,9 +82,16 @@ def test_tags_iterate_as_read_by_index(modcod):
         objective=np.zeros(1), lower=np.zeros(1), upper=np.ones(1), binary=np.zeros(1, dtype=bool),
     )
     assert isinstance(hand_built.tags, tuple)
-    for model in (desk, hand_built):
-        tags = model.tags
-        assert list(tags) == [tags[i] for i in range(model.num_rows)]
+    # Column names come from the same renderer; table2 has two-digit user
+    # and slot indices.
+    big = load_config(resolve_config_path("table2"))
+    L, T = big.num_clusters, big.slots_per_window
+    C, U = big.carriers_per_cluster, big.users_per_cluster
+    table2 = VariableCatalog(L, C, U, T)
+    for names in (desk.tags, hand_built.tags, desk.catalog.names, table2.names,
+                  BaselineCatalog(L, T).names):
+        assert list(names) == [names[i] for i in range(len(names))]
+    assert table2.names[table2.q_col(L - 1, C - 1, U - 1, T - 1)] == f"q_{L}_{C}_{U}_{T}"
 
 
 def test_assignment_and_fill_carry_no_time_axis(tiny_bundle):
@@ -150,9 +147,19 @@ def test_integrality_violations_reported(tiny_bundle):
     assert any(tag.startswith("integrality_z_1_1") for tag, _ in report.entries)
 
 
+def test_bound_violations_name_their_columns(tiny_bundle):
+    _, _, _, model = tiny_bundle
+    cat = model.catalog
+    x = np.zeros(model.num_cols)
+    x[cat.beta_col(0, 0, 0)] = 1.5
+    x[cat.tl_col] = -1.0
+    report = validate_solution(model, x)
+    bounds = [(tag, v) for tag, v in report.entries if tag.startswith("bound_")]
+    assert bounds == [("bound_tL", 1.0), ("bound_beta_1_1_1", 0.5)]
+
+
 class _NamedColumns:
-    def col_name(self, j):
-        return f"x{j}"
+    names = ("x0", "x1")
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])

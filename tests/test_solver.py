@@ -245,9 +245,7 @@ def test_brute_force_requires_planner_model():
 
     class MiniCatalog:
         num_cols = 1
-
-        def col_name(self, j):
-            return "x"
+        names = ("x",)
 
     model = ModelInstance.from_constraints(
         MiniCatalog(), rows, objective=np.ones(1),
@@ -265,9 +263,7 @@ def test_infeasible_generic_model_reports_infeasible():
 
     class MiniCatalog:
         num_cols = 1
-
-        def col_name(self, j):
-            return "x"
+        names = ("x",)
 
     model = ModelInstance.from_constraints(
         MiniCatalog(), rows, objective=np.ones(1),
@@ -323,6 +319,44 @@ def test_table2_seed7_regression(table2_bundle):
     assert bh.status == "optimal"
     assert bh.objective == pytest.approx(0.7599464597, abs=1e-6)
     assert validate_solution(bh_model, bh.values).empty
+
+
+def _highs(model):
+    """HiGHS's incumbent objective and dual bound on the model's own rows."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    A = sparse.csr_array((model.coefs, model.cols, model.indptr), shape=(model.num_rows, model.num_cols))
+    res = optimize.milp(
+        -model.objective,
+        constraints=optimize.LinearConstraint(
+            A, np.where(model.senses == LESS, -np.inf, model.rhs),
+            np.where(model.senses == GREATER, np.inf, model.rhs),
+        ),
+        integrality=model.binary.astype(int),
+        bounds=optimize.Bounds(model.lower, model.upper),
+    )
+    assert res.status == 0, res.message
+    return -res.fun, -res.mip_dual_bound
+
+
+def test_highs_finds_the_same_bh_optimum(modcod, table2_bundle):
+    desk = make_bundle(desk_config(1), modcod)[:3]
+    for scenario, rates, pairs in (desk, table2_bundle[:3]):
+        model = build_bh_model(scenario, rates, pairs)
+        incumbent, _ = _highs(model)
+        assert solve_milp(model).objective == pytest.approx(incumbent, abs=1e-6)
+
+
+def test_highs_brackets_the_joint_desk_optimum(modcod):
+    # The default C7b fill floor, 1e-6, is HiGHS's default feasibility
+    # tolerance, and HiGHS stops with a solve error on this model at that
+    # floor; at 1e-3 it solves.
+    scenario, rates, pairs, _ = make_bundle(desk_config(1), modcod)
+    model = build_model(scenario, rates, pairs, epsilon_fill=1e-3)
+    incumbent, bound = _highs(model)
+    ours = solve_milp(model)
+    assert ours.status == "optimal"
+    assert incumbent - 1e-6 <= ours.objective <= bound + 1e-6
 
 
 def test_table2_limits_are_honoured(table2_bundle):
