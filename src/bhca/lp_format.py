@@ -3,19 +3,27 @@
 The writer is byte-stable for a fixed model: fixed section order
 (Maximize / Subject To / Bounds / Binaries / End), constraint names taken
 from the row tags, coefficients rendered with ``repr`` so parsing recovers
-them exactly, and long rows folded at a fixed width. The reader accepts
-only the constructs the writer emits.
+them exactly, and long rows folded at a fixed width. The Subject To
+section is rendered one run of rows at a time (``EXPORT_RUN_TERMS``), so
+its working memory is set by the run size, not by the model: the table2
+export peaks at about 2.4 times its own text. The run size never changes
+the bytes. The reader accepts only the constructs the writer emits.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelInstance
+from .model import EQUAL, GREATER, LESS, ModelInstance
 
 _FOLD_WIDTH = 220
+# Largest weight of one Subject To run, a row weighing its terms plus one;
+# see ``_runs``.
+EXPORT_RUN_TERMS = 16_384
+_SENSES = (LESS, GREATER, EQUAL)
 
 
 def _num(x: float) -> str:
@@ -79,17 +87,45 @@ def _bound_cols(model: ModelInstance) -> np.ndarray:
     return np.nonzero(~model.binary & ((model.lower != 0.0) | (model.upper != np.inf)))[0]
 
 
+def _runs(indptr: np.ndarray):
+    """``(r0, r1)`` bounds of consecutive row runs covering every row.
+
+    A row weighs its terms plus one, so runs of empty rows stay bounded too;
+    a run weighs at most ``EXPORT_RUN_TERMS`` unless it is one heavier row.
+    """
+    weight = indptr + np.arange(indptr.size)
+    r0, m = 0, indptr.size - 1
+    while r0 < m:
+        r1 = int(np.searchsorted(weight, weight[r0] + EXPORT_RUN_TERMS, side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        yield r0, r1
+        r0 = r1
+
+
 def _rows_text(model: ModelInstance, names: np.ndarray) -> list[str]:
-    """The Subject To lines: one gather of the pieces ``" ", tag, ":",
-    (coefficient, name) x k, sense, rhs`` of every row, one join, then a fold
-    of each row wider than ``_FOLD_WIDTH``."""
-    m, nnz = model.num_rows, model.cols.shape[0]
-    starts, stops = model.indptr[:-1], model.indptr[1:]
+    """The Subject To lines, one string per run of rows from ``_runs``.
+
+    Each run gathers the pieces ``" ", tag, ":", (coefficient, name) x k,
+    sense, rhs`` of its rows, joins them, and folds each row wider than
+    ``_FOLD_WIDTH``; only the finished run texts outlive their run, so the
+    working memory is set by the run size, not by the model.
+    """
+    tags = iter(model.tags)
+    name_len = _lengths(names)
+    return [_run_text(model, names, name_len, tags, r0, r1) for r0, r1 in _runs(model.indptr)]
+
+
+def _run_text(model, names, name_len, tags, r0: int, r1: int) -> str:
+    """Subject To lines of rows ``[r0, r1)``; ``tags`` yields their tags next."""
+    ptr = model.indptr[r0:r1 + 1]
+    a, b = int(ptr[0]), int(ptr[-1])
+    starts, stops = ptr[:-1] - a, ptr[1:] - a
+    m, nnz, cols = r1 - r0, b - a, model.cols[a:b]
     rows = np.arange(m)
-    tags = np.fromiter(model.tags, dtype=object, count=m)
-    coef_txt, coef_len = _distinct(model.coefs, _signed)
-    sense_txt, sense_len = _distinct(model.senses, lambda s: f" {s} ")
-    rhs_txt, rhs_len = _distinct(model.rhs, lambda v: _num(v) + "\n")
+    tags = np.fromiter(itertools.islice(tags, m), dtype=object, count=m)
+    coef_txt, coef_len = _distinct(model.coefs[a:b], _signed)
+    sense_txt, sense_len = _distinct(model.senses[r0:r1], lambda s: f" {s} ")
+    rhs_txt, rhs_len = _distinct(model.rhs[r0:r1], lambda v: _num(v) + "\n")
 
     # Row i fills pieces [5i + 2 starts[i], 5(i + 1) + 2 stops[i]).
     pieces = np.empty(5 * m + 2 * nnz, dtype=object)
@@ -100,16 +136,16 @@ def _rows_text(model: ModelInstance, names: np.ndarray) -> list[str]:
     pieces[row_at + 1] = tags
     pieces[row_at + 2] = ":"
     pieces[term_at] = coef_txt
-    pieces[term_at + 1] = names[model.cols]
+    pieces[term_at + 1] = names[cols]
     pieces[tail_at] = sense_txt
     pieces[tail_at + 1] = rhs_txt
     text = "".join(pieces.tolist())
+    del pieces  # before the fold copies slices of the text
 
     # Line lengths without the newline; each row's text starts after the
     # previous row's newline.
     head_len = _lengths(tags) + 2
-    term_len = coef_len + _lengths(names)[model.cols]
-    term_end = np.concatenate([[0], np.cumsum(term_len, dtype=np.int64)])
+    term_end = np.concatenate([[0], np.cumsum(coef_len + name_len[cols], dtype=np.int64)])
     line_len = head_len + term_end[stops] - term_end[starts] + sense_len + rhs_len - 1
     line_at = np.concatenate([[0], np.cumsum(line_len + 1, dtype=np.int64)])
     parts, done = [], 0
@@ -117,14 +153,17 @@ def _rows_text(model: ModelInstance, names: np.ndarray) -> list[str]:
         begin, end = int(line_at[i]), int(line_at[i] + line_len[i])
         parts += [text[done:begin], _fold(text[begin:end], int(head_len[i]))]
         done = end
+    if not parts:
+        return text
     parts.append(text[done:])
-    return parts
+    return "".join(parts)
 
 
 def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first column or row holding a number
-    the dialect cannot carry: it has no free or ``-inf`` bound form, and a
-    coefficient or rhs must be finite."""
+    the dialect cannot carry: it has no free or ``-inf`` bound form, a row's
+    sense is one of ``<=``, ``>=`` and ``=``, and a coefficient or rhs must be
+    finite."""
     bad = ~np.isfinite(model.lower) | ~(model.upper > -np.inf) | ~np.isfinite(model.objective)
     if bad.any():
         j = int(bad.argmax())
@@ -133,6 +172,10 @@ def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
             f"coefficient {model.objective[j]!r}; the LP format needs a finite lower bound and "
             "finite coefficients"
         )
+    bad = ~np.isin(model.senses, _SENSES)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"row {model.tags[i]} has sense {str(model.senses[i])!r}; expected one of {_SENSES}")
     bad = ~np.isfinite(model.rhs)
     bad[np.searchsorted(model.indptr, np.flatnonzero(~np.isfinite(model.coefs)), side="right") - 1] = True
     if bad.any():
@@ -276,7 +319,7 @@ def parse_lp(text: str) -> ParsedLp:
     for chunk in constraint_chunks:
         name = chunk[0][:-1]
         body = chunk[1:]
-        sense_pos = next((i for i, t in enumerate(body) if t in ("<=", ">=", "=")), None)
+        sense_pos = next((i for i, t in enumerate(body) if t in _SENSES), None)
         if sense_pos is None or sense_pos != len(body) - 2:
             raise ValueError(f"constraint {name!r} lacks 'expr <sense> rhs' shape")
         if name in constraints:

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bhca import lp_format
 from bhca.cli import resolve_config_path
 from bhca.lp_format import ParsedLp, export_lp, model_canonical_rows, parse_lp, round_trip_matches
 from bhca.baseline import build_bh_model
@@ -281,9 +283,55 @@ def test_model_without_rows_exports_empty_sections():
     assert round_trip_matches(model, parse_lp(text))
 
 
-def _two_column_model(lower=(0.0, 0.0), upper=(np.inf, 1.0), objective=(1.0, 1.0), coef=1.0, rhs=1.0):
+def _run_edge_model():
+    """Empty first and last rows; each 30-term row folds and sits between
+    short rows, so small runs start and end at folded rows."""
+    n = 30
+    sizes = (0, 2, 30, 1, 3, 30, 30, 2, 0)
+    rows = [
+        LinearConstraint(tuple(range(k)), (0.5,) * k, (LESS, GREATER, EQUAL)[i % 3], float(i), f"r{i}")
+        for i, k in enumerate(sizes)
+    ]
     return ModelInstance.from_constraints(
-        _Columns(["u", "v"]), [LinearConstraint((0, 1), (1.0, coef), LESS, rhs, "r1")],
+        _Columns(f"x{j:08d}" for j in range(n)), rows, objective=np.ones(n),
+        lower=np.zeros(n), upper=np.ones(n), binary=np.ones(n, dtype=bool),
+    )
+
+
+@pytest.fixture(scope="module")
+def desk_seed1_models(modcod):
+    cfg = dataclasses.replace(load_config(resolve_config_path("desk")), rng_seed=1)
+    scenario, rates, pairs, model = make_bundle(cfg, modcod)
+    return model, build_bh_model(scenario, rates, pairs)
+
+
+@pytest.mark.parametrize("run_terms", [1, 2, 5, 40])
+def test_run_size_never_changes_the_bytes(monkeypatch, desk_seed1_models, run_terms):
+    models = [_edge_model(), _run_edge_model(), *desk_seed1_models]
+    want = [export_lp(m) for m in models]
+    assert "\n  " in want[1]
+    monkeypatch.setattr(lp_format, "EXPORT_RUN_TERMS", run_terms)
+    assert len(list(lp_format._runs(desk_seed1_models[0].indptr))) > 1
+    assert [export_lp(m) for m in models] == want
+
+
+def test_export_memory_stays_near_its_text(modcod):
+    # Rendering the whole Subject To section in one gather peaked at 6.5
+    # times the text on this model; runs of rows bring it to about 2.4.
+    cfg = dataclasses.replace(load_config(resolve_config_path("table2")), rng_seed=7)
+    _, _, _, model = make_bundle(cfg, modcod)
+    tracemalloc.start()
+    try:
+        ratio = tracemalloc.get_traced_memory()[1] / len(export_lp(model))
+    finally:
+        tracemalloc.stop()
+    assert ratio <= 3
+
+
+def _two_column_model(lower=(0.0, 0.0), upper=(np.inf, 1.0), objective=(1.0, 1.0), coef=1.0, rhs=1.0,
+                      sense=LESS):
+    return ModelInstance.from_constraints(
+        _Columns(["u", "v"]), [LinearConstraint((0, 1), (1.0, coef), sense, rhs, "r1")],
         objective=np.array(objective), lower=np.array(lower), upper=np.array(upper),
         binary=np.zeros(2, dtype=bool),
     )
@@ -296,7 +344,8 @@ def _two_column_model(lower=(0.0, 0.0), upper=(np.inf, 1.0), objective=(1.0, 1.0
     (dict(objective=(1.0, np.inf)), "column v "),
     (dict(coef=np.nan), "row r1 "),
     (dict(rhs=np.inf), "row r1 "),
-], ids=["free-lower", "nan-upper", "minus-inf-upper", "inf-objective", "nan-coef", "inf-rhs"])
+    (dict(sense="=<"), "row r1 has sense '=<'"),
+], ids=["free-lower", "nan-upper", "minus-inf-upper", "inf-objective", "nan-coef", "inf-rhs", "unknown-sense"])
 def test_export_names_what_the_format_cannot_carry(change, match):
     # These used to raise OverflowError or "cannot convert float NaN to integer".
     with pytest.raises(ValueError, match=match):
