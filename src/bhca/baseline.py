@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model as _model
 from .linkbudget import RateTable
 from .model import (
     DEFAULT_EPSILON_TIEBREAK,
     GREATER,
     LESS,
     BaselineCatalog,
+    InfeasibleSolutionError,
     ModelInstance,
     RowBuilder,
     index_labels,
@@ -58,7 +60,7 @@ def build_bh_model(scenario: Scenario, rates: RateTable, pairs) -> ModelInstance
     demand = scenario.demand_matrix().sum(axis=1)
 
     ratio = caps / demand
-    z = np.arange(L * T).reshape(L, T)   # z_col(l, t)
+    z = cat.z
     ls, ts = index_labels("l", L), index_labels("t", T)
     rows = RowBuilder()
     rows.add(
@@ -79,7 +81,7 @@ def build_bh_model(scenario: Scenario, rates: RateTable, pairs) -> ModelInstance
     upper = np.ones(cat.num_cols)
     upper[cat.theta_col] = np.inf
     binary = np.zeros(cat.num_cols, dtype=bool)
-    binary[: cat.theta_col] = True
+    binary[z] = True
 
     return ModelInstance(
         catalog=cat,
@@ -159,14 +161,19 @@ def solve_bh(
     options: SolverOptions | None = None,
     log=None,
 ) -> BhPlan:
-    """Run both baseline stages and decode the resulting plan."""
+    """Run both baseline stages and decode the resulting plan; raise
+    ``InfeasibleSolutionError`` if the stage-1 point fails its rows."""
     cfg = scenario.config
-    L, T = cfg.num_clusters, cfg.slots_per_window
-    U = cfg.users_per_cluster
+    L, U = cfg.num_clusters, cfg.users_per_cluster
     model = build_bh_model(scenario, rates, pairs)
     stage1 = solve_milp(model, options, log=log)
+    # Looked up on the module at call time, as ``decode_plan`` does, so
+    # bench/tracing.py counts the audit under ``model.validate_s``.
+    report = _model.validate_solution(model, stage1.values)
+    if not report.empty:
+        raise InfeasibleSolutionError(report)
     cat = model.catalog
-    z = stage1.values[: cat.theta_col].reshape(L, T) > 0.5
+    z = stage1.values[cat.z] > 0.5
 
     demand = scenario.demand_matrix()
     R = rates.rate_per_slot

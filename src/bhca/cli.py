@@ -24,11 +24,12 @@ from importlib import resources
 
 from . import baseline, metrics
 from .linkbudget import ModcodTable, compute_rate_table
-# ``validate_solution`` is not called here (``decode_plan`` audits every
-# plan); the name stays bound because bench/tracing.py wraps it.
+# ``validate_solution`` is not called here (``decode_plan`` and
+# ``baseline.solve_bh`` audit the plans); the name stays bound because
+# bench/tracing.py wraps it.
 from .model import InfeasibleSolutionError, build_model, decode_plan, validate_solution  # noqa: F401
 from .lp_format import export_lp
-from .scenario import ConfigError, SystemConfig, adjacency_pairs, config_from_dict, generate_scenario
+from .scenario import ConfigError, SystemConfig, adjacency_pairs, generate_scenario, load_config
 from .solver import SolverOptions, solve_milp
 
 logger = logging.getLogger("bhca")
@@ -58,16 +59,11 @@ def _read_config(path: str) -> tuple[SystemConfig | None, list[str]]:
     """Read a config document; return it and its diagnostics (empty means
     valid). The config is ``None`` when the document cannot be read as one."""
     try:
-        with open(resolve_config_path(path), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        config = load_config(resolve_config_path(path))
     except OSError as exc:
         return None, [f"cannot read config: {exc}"]
     except json.JSONDecodeError as exc:
         return None, [f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"]
-    if not isinstance(doc, dict):
-        return None, ["config document must be a JSON object"]
-    try:
-        config = config_from_dict(doc)
     except ConfigError as exc:
         return None, [str(exc)]
     return config, config.validate()
@@ -176,7 +172,10 @@ def run(manifest: RunManifest) -> int:
     if manifest.scheme in ("bh", "both"):
         log_lines = []
         logger.info("solving conventional baseline")
-        plan_bh = baseline.solve_bh(scenario, rates, pairs, opts, log=log_lines.append)
+        try:
+            plan_bh = baseline.solve_bh(scenario, rates, pairs, opts, log=log_lines.append)
+        except InfeasibleSolutionError as exc:
+            raise RuntimeError(f"bh solution failed its audit: {exc.report}") from exc
         statuses["bh"] = plan_bh.stage1.status
         artifacts["solver_log_bh.txt"] = "\n".join(log_lines) + "\n"
         artifacts["plan_bh.json"] = _dump_json(plan_bh.to_dict())

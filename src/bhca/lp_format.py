@@ -37,19 +37,21 @@ def _signed(x: float) -> str:
     return f" {'+' if x >= 0 else '-'} {_num(abs(x))} "
 
 
-def _lengths(strings) -> np.ndarray:
-    """``len`` of each string, as an int64 array."""
-    return np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
-
-
-def _distinct(values: np.ndarray, render) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(values: np.ndarray, render) -> np.ndarray:
     """``render(v)`` for every entry of ``values``, called once per distinct
-    value: the strings as an object array, and their lengths."""
+    value, as an object array."""
     # Asking for the index makes np.unique sort stably, which is several
     # times faster on the long runs of equal values that model rows hold.
     distinct, _, inverse = np.unique(values, return_index=True, return_inverse=True)
-    text = np.array([render(v) for v in distinct.tolist()], dtype=object)
-    return text[inverse], _lengths(text)[inverse]
+    return np.array([render(v) for v in distinct.tolist()], dtype=object)[inverse]
+
+
+def _find(text: str, char: str) -> np.ndarray:
+    """Positions of ``char`` in ``text``, counted in characters."""
+    # UTF-32 has one code unit per character, so a unit's index is the
+    # character's index in the str.
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    return np.flatnonzero(codes == ord(char))
 
 
 def _interleave(*columns) -> str:
@@ -69,8 +71,7 @@ def _fold(text: str, prefix_len: int) -> str:
     """
     # ends[k] is where token k ends, ends[0] where the prefix ends. A token
     # ends where the next one's leading space is.
-    codes = np.frombuffer(text[prefix_len:].encode("utf-32-le"), dtype=np.uint32)
-    starts = np.flatnonzero(codes == ord(" ")) + prefix_len
+    starts = _find(text[prefix_len:], " ") + prefix_len
     ends = [prefix_len, *starts[1:].tolist(), len(text)]
     lines, begin, token, limit = [], 0, 0, _FOLD_WIDTH
     while True:
@@ -103,29 +104,29 @@ def _runs(indptr: np.ndarray):
 
 
 def _rows_text(model: ModelInstance, names: np.ndarray) -> list[str]:
-    """The Subject To lines, one string per run of rows from ``_runs``.
-
-    Each run gathers the pieces ``" ", tag, ":", (coefficient, name) x k,
-    sense, rhs`` of its rows, joins them, and folds each row wider than
-    ``_FOLD_WIDTH``; only the finished run texts outlive their run, so the
-    working memory is set by the run size, not by the model.
-    """
+    """The Subject To lines, one string per run of rows from ``_runs``. Only
+    the run texts outlive their run, so the run size sets the memory."""
     tags = iter(model.tags)
-    name_len = _lengths(names)
-    return [_run_text(model, names, name_len, tags, r0, r1) for r0, r1 in _runs(model.indptr)]
+    return [_run_text(model, names, tags, r0, r1) for r0, r1 in _runs(model.indptr)]
 
 
-def _run_text(model, names, name_len, tags, r0: int, r1: int) -> str:
-    """Subject To lines of rows ``[r0, r1)``; ``tags`` yields their tags next."""
+def _run_text(model, names, tags, r0: int, r1: int) -> str:
+    """Subject To lines of rows ``[r0, r1)``; ``tags`` yields their tags next.
+
+    The run gathers the pieces ``" ", tag, ":", (coefficient, name) x k,
+    sense, rhs`` of its rows and joins them, so row ``i`` of the run is line
+    ``i`` of the text. The lines wider than ``_FOLD_WIDTH``, found by their
+    line ends in the text, are folded after their ``" tag:"`` prefix.
+    """
     ptr = model.indptr[r0:r1 + 1]
     a, b = int(ptr[0]), int(ptr[-1])
     starts, stops = ptr[:-1] - a, ptr[1:] - a
     m, nnz, cols = r1 - r0, b - a, model.cols[a:b]
     rows = np.arange(m)
     tags = np.fromiter(itertools.islice(tags, m), dtype=object, count=m)
-    coef_txt, coef_len = _distinct(model.coefs[a:b], _signed)
-    sense_txt, sense_len = _distinct(model.senses[r0:r1], lambda s: f" {s} ")
-    rhs_txt, rhs_len = _distinct(model.rhs[r0:r1], lambda v: _num(v) + "\n")
+    coef_txt = _distinct(model.coefs[a:b], _signed)
+    sense_txt = _distinct(model.senses[r0:r1], lambda s: f" {s} ")
+    rhs_txt = _distinct(model.rhs[r0:r1], lambda v: _num(v) + "\n")
 
     # Row i fills pieces [5i + 2 starts[i], 5(i + 1) + 2 stops[i]).
     pieces = np.empty(5 * m + 2 * nnz, dtype=object)
@@ -142,16 +143,16 @@ def _run_text(model, names, name_len, tags, r0: int, r1: int) -> str:
     text = "".join(pieces.tolist())
     del pieces  # before the fold copies slices of the text
 
-    # Line lengths without the newline; each row's text starts after the
-    # previous row's newline.
-    head_len = _lengths(tags) + 2
-    term_end = np.concatenate([[0], np.cumsum(coef_len + name_len[cols], dtype=np.int64)])
-    line_len = head_len + term_end[stops] - term_end[starts] + sense_len + rhs_len - 1
-    line_at = np.concatenate([[0], np.cumsum(line_len + 1, dtype=np.int64)])
+    ends = _find(text, "\n")
+    if ends.size != m or "\r" in text:
+        # Tags are checked here, as they are rendered once; column names
+        # were checked before any run.
+        _check_one_line("row", tags.tolist())
+    begins = np.concatenate([[0], ends[:-1] + 1])
     parts, done = [], 0
-    for i in np.nonzero(line_len > _FOLD_WIDTH)[0].tolist():
-        begin, end = int(line_at[i]), int(line_at[i] + line_len[i])
-        parts += [text[done:begin], _fold(text[begin:end], int(head_len[i]))]
+    for i in np.flatnonzero(ends - begins > _FOLD_WIDTH).tolist():
+        begin, end = int(begins[i]), int(ends[i])
+        parts += [text[done:begin], _fold(text[begin:end], len(tags[i]) + 2)]
         done = end
     if not parts:
         return text
@@ -159,11 +160,22 @@ def _run_text(model, names, name_len, tags, r0: int, r1: int) -> str:
     return "".join(parts)
 
 
+def _check_one_line(kind: str, names: list[str]) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` that holds a line
+    break: the export ends each line with ``"\\n"``, and readers of text also
+    end lines at ``"\\r"``."""
+    text = "".join(names)
+    if "\n" in text or "\r" in text:
+        name = next(n for n in names if "\n" in n or "\r" in n)
+        raise ValueError(f"{kind} {name!r} holds a line break; the LP format writes every name on one line")
+
+
 def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first column or row holding a number
-    the dialect cannot carry: it has no free or ``-inf`` bound form, a row's
-    sense is one of ``<=``, ``>=`` and ``=``, and a coefficient or rhs must be
-    finite."""
+    """Raise ``ValueError`` naming the first column or row holding a name or
+    number the dialect cannot carry: a name holds no line break (``_run_text``
+    checks the tags), it has no free or ``-inf`` bound form, a row's sense is
+    one of ``<=``, ``>=`` and ``=``, and a coefficient or rhs must be finite."""
+    _check_one_line("column", names.tolist())
     bad = ~np.isfinite(model.lower) | ~(model.upper > -np.inf) | ~np.isfinite(model.objective)
     if bad.any():
         j = int(bad.argmax())
@@ -190,7 +202,7 @@ def export_lp(model: ModelInstance) -> str:
     out = ["\\ Problem: bhca\nMaximize\n"]
 
     obj_cols = np.nonzero(model.objective)[0]
-    obj_txt, _ = _distinct(model.objective[obj_cols], _signed)
+    obj_txt = _distinct(model.objective[obj_cols], _signed)
     out.append(_fold(" obj:" + _interleave(obj_txt, names[obj_cols]), 5) + "\n")
 
     out.append("Subject To\n")
@@ -202,9 +214,9 @@ def export_lp(model: ModelInstance) -> str:
     finite = highs != np.inf
     before = np.full(shown.size, " ", dtype=object)
     after = np.empty(shown.size, dtype=object)
-    before[finite] = _distinct(lows[finite], lambda v: f" {_num(v)} <= ")[0]
-    after[finite] = _distinct(highs[finite], lambda v: f" <= {_num(v)}\n")[0]
-    after[~finite] = _distinct(lows[~finite], lambda v: f" >= {_num(v)}\n")[0]
+    before[finite] = _distinct(lows[finite], lambda v: f" {_num(v)} <= ")
+    after[finite] = _distinct(highs[finite], lambda v: f" <= {_num(v)}\n")
+    after[~finite] = _distinct(lows[~finite], lambda v: f" >= {_num(v)}\n")
     out.append(_interleave(before, names[shown], after))
 
     binaries = np.nonzero(model.binary)[0]

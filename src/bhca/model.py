@@ -42,7 +42,7 @@ class InfeasibleSolutionError(ValueError):
 
 
 class VariableCatalog:
-    """Flat column layout for the planner model.
+    """Flat column layout for the planner model, declared once by ``names``.
 
     Column order is fixed: ``a`` (l,c,u), ``beta`` (l,c,u), ``q`` (l,c,u,t),
     ``z`` (l,t), ``tU`` (l), ``tL``, ``theta``, each family lexicographic by
@@ -50,6 +50,10 @@ class VariableCatalog:
     axis: assignments and fill-rates hold for the whole hopping window.
     ``names`` holds the wire names, with 1-based indices: ``a_l_c_u``,
     ``beta_l_c_u``, ``q_l_c_u_t``, ``z_l_t``, ``tU_l``, ``tL``, ``theta``.
+    The rest is derived from it: the column grids ``a``, ``beta``, ``q``,
+    ``z`` and ``tu`` are index arrays shaped by their axes (``q[l, c, u, t]``
+    is a column), ``tl_col`` and ``theta_col`` are ints, and ``off_a`` ..
+    ``off_tl`` are the first columns of the families.
     """
 
     def __init__(self, num_clusters: int, num_carriers: int, num_users: int, num_slots: int):
@@ -57,15 +61,6 @@ class VariableCatalog:
         self.num_carriers = num_carriers
         self.num_users = num_users
         self.num_slots = num_slots
-        lcu = num_clusters * num_carriers * num_users
-        self.off_a = 0
-        self.off_beta = lcu
-        self.off_q = 2 * lcu
-        self.off_z = 2 * lcu + lcu * num_slots
-        self.off_tu = self.off_z + num_clusters * num_slots
-        self.off_tl = self.off_tu + num_clusters
-        self.off_theta = self.off_tl + 1
-        self.num_cols = self.off_theta + 1
         ls, cs, us, ts = (
             index_labels("", n) for n in (num_clusters, num_carriers, num_users, num_slots)
         )
@@ -73,29 +68,11 @@ class VariableCatalog:
             ("a", (ls, cs, us)), ("beta", (ls, cs, us)), ("q", (ls, cs, us, ts)),
             ("z", (ls, ts)), ("tU", (ls,)), ("tL", ()), ("theta", ()),
         ])
-
-    def a_col(self, l: int, c: int, u: int) -> int:
-        return self.off_a + (l * self.num_carriers + c) * self.num_users + u
-
-    def beta_col(self, l: int, c: int, u: int) -> int:
-        return self.off_beta + (l * self.num_carriers + c) * self.num_users + u
-
-    def q_col(self, l: int, c: int, u: int, t: int) -> int:
-        return self.off_q + ((l * self.num_carriers + c) * self.num_users + u) * self.num_slots + t
-
-    def z_col(self, l: int, t: int) -> int:
-        return self.off_z + l * self.num_slots + t
-
-    def tu_col(self, l: int) -> int:
-        return self.off_tu + l
-
-    @property
-    def tl_col(self) -> int:
-        return self.off_tl
-
-    @property
-    def theta_col(self) -> int:
-        return self.off_theta
+        self.a, self.beta, self.q, self.z, self.tu, self.tl_col, self.theta_col = self.names.grids()
+        self.off_a, self.off_beta, self.off_q, self.off_z, self.off_tu, self.off_tl = (
+            int(np.ravel(grid)[0]) for grid in (self.a, self.beta, self.q, self.z, self.tu, self.tl_col)
+        )
+        self.num_cols = len(self.names)
 
     def lower(self) -> np.ndarray:
         return np.zeros(self.num_cols)
@@ -107,26 +84,26 @@ class VariableCatalog:
 
     def binary_mask(self) -> np.ndarray:
         mask = np.zeros(self.num_cols, dtype=bool)
-        mask[self.off_a:self.off_beta] = True
-        mask[self.off_z:self.off_tu] = True
+        mask[self.a] = True
+        mask[self.z] = True
         return mask
 
 
 class BaselineCatalog:
-    """Column layout of the baseline stage-1 model: z (l, t) blocks, then theta."""
+    """Column layout of the baseline stage-1 model: z (l, t) blocks, then
+    theta; the grids come from ``names`` as in ``VariableCatalog``."""
 
     def __init__(self, num_clusters: int, num_slots: int):
         self.num_clusters = num_clusters
         self.num_slots = num_slots
-        self.off_z = 0
-        self.theta_col = num_clusters * num_slots
-        self.num_cols = self.theta_col + 1
         self.names = GridNames([
             ("z", (index_labels("", num_clusters), index_labels("", num_slots))), ("theta", ()),
         ])
+        self.z, self.theta_col = self.names.grids()
+        self.num_cols = len(self.names)
 
     def z_col(self, l: int, t: int) -> int:
-        return l * self.num_slots + t
+        return int(self.z[l, t])
 
 
 @dataclass(frozen=True)
@@ -161,6 +138,17 @@ def _label_product(head: str, axes) -> np.ndarray:
     return names
 
 
+def block_grids(shapes) -> list:
+    """Indices of consecutive blocks of one flat axis, one block per shape:
+    an int64 array of that shape, row-major, or an int for the shape ``()``."""
+    grids, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        grids.append(start + np.arange(size, dtype=np.int64).reshape(shape) if shape else start)
+        start += size
+    return grids
+
+
 class GridNames(Sequence):
     """Names of a model's rows or columns, rendered on demand.
 
@@ -168,13 +156,18 @@ class GridNames(Sequence):
     per axis, in row-major order over the axes; an axis is a tuple of label
     strings, and a block without axes is one entry named ``head``. Names are
     built only when read: one at a time by index, a block at a time by
-    iteration.
+    iteration. ``grids`` gives each block's entry indices, so a layout
+    declared as names needs no offsets of its own.
     """
 
     def __init__(self, blocks):
         self._blocks = tuple((head, tuple(axes)) for head, axes in blocks)
         sizes = [math.prod(len(axis) for axis in axes) for _, axes in self._blocks]
         self._starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+    def grids(self) -> list:
+        """Each block's entry indices, shaped by its axes (see ``block_grids``)."""
+        return block_grids(tuple(len(axis) for axis in axes) for _, axes in self._blocks)
 
     def __len__(self) -> int:
         return int(self._starts[-1])
@@ -331,13 +324,7 @@ def build_model(
     demand = scenario.demand_matrix()
     cat = VariableCatalog(L, C, U, T)
 
-    # Column grids, one axis per index.
-    lcu = np.arange(L * C * U).reshape(L, C, U)
-    a = cat.off_a + lcu
-    beta = cat.off_beta + lcu
-    q = cat.off_q + np.arange(L * C * U * T).reshape(L, C, U, T)
-    z = cat.off_z + np.arange(L * T).reshape(L, T)
-    tu = cat.off_tu + np.arange(L)
+    a, beta, q, z, tu = cat.a, cat.beta, cat.q, cat.z, cat.tu
     q_z = z[:, None, None, :]
     q_beta = beta[..., None]
     ls, cs, us, ts = (index_labels(p, n) for p, n in (("l", L), ("c", C), ("u", U), ("t", T)))
@@ -501,22 +488,18 @@ def decode_plan(model: ModelInstance, solution, scenario: Scenario) -> Allocatio
     if not report.empty:
         raise InfeasibleSolutionError(report)
     cat = model.catalog
-    L, C, U, T = cat.num_clusters, cat.num_carriers, cat.num_users, cat.num_slots
     x = solution.values
-    q = x[cat.off_q:cat.off_z].reshape(L, C, U, T)
-    z = x[cat.off_z:cat.off_tu].reshape(L, T)
-    a = x[cat.off_a:cat.off_beta].reshape(L, C, U)
-    beta = x[cat.off_beta:cat.off_q].reshape(L, C, U)
+    q, z, a, beta = x[cat.q], x[cat.z], x[cat.a], x[cat.beta]
 
     rate = model.rate_per_slot
     if rate is None:
         raise StructuralError("model carries no rate data; was it built by build_model?")
     user_supply = np.einsum("lcut,lcu->lu", q, rate)
     cluster_supply = user_supply.sum(axis=1)
-    schedule = tuple(tuple(int(t) for t in np.nonzero(z[l] > 0.5)[0]) for l in range(L))
+    schedule = tuple(tuple(np.flatnonzero(slots > 0.5).tolist()) for slots in z)
     carrier_sets = tuple(
-        tuple(tuple(int(c) for c in np.nonzero(a[l, :, u] > 0.5)[0]) for u in range(U))
-        for l in range(L)
+        tuple(tuple(np.flatnonzero(carriers > 0.5).tolist()) for carriers in per_user)
+        for per_user in a.transpose(0, 2, 1)
     )
     user_supply.flags.writeable = False
     cluster_supply.flags.writeable = False
@@ -526,7 +509,7 @@ def decode_plan(model: ModelInstance, solution, scenario: Scenario) -> Allocatio
         fill_rate=beta,
         user_supply=user_supply,
         cluster_supply=cluster_supply,
-        user_ratio_floor=x[cat.off_tu:cat.off_tl].copy(),
+        user_ratio_floor=x[cat.tu],
         cluster_ratio_floor=float(x[cat.tl_col]),
         min_ratio=float(x[cat.theta_col]),
         objective=float(solution.objective),

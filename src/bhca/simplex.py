@@ -228,7 +228,7 @@ def _sense_codes(senses, m: int) -> np.ndarray:
     for code, sense in enumerate(_SENSES):
         codes[s == sense] = code
     if (codes < 0).any():
-        raise ValueError(f"unknown sense {s[codes < 0][0]!r}; expected one of {_SENSES}")
+        raise ValueError(f"unknown sense {str(s[codes < 0][0])!r}; expected one of {_SENSES}")
     return codes
 
 

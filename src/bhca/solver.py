@@ -35,7 +35,7 @@ from heapq import heappush, heappop
 
 import numpy as np
 
-from .model import BaselineCatalog, ModelInstance, VariableCatalog
+from .model import BaselineCatalog, ModelInstance, VariableCatalog, block_grids
 from .simplex import LpSolution, solve_dense, solve_dense_batch
 
 # An integer column within this distance of an integer counts as integral,
@@ -368,32 +368,26 @@ class _JointCounts:
         self.user_coef = model.rate_per_slot / demand[:, None, :]                    # C4
         self.cluster_coef = model.rate_per_slot / demand.sum(axis=1)[:, None, None]  # C5
         self.M = _patterns(self.L, model.active_clusters_per_slot, model.pairs)
-        self.k = self.L * self.C * self.U
         # Even fills on delta_max carriers per user, until ``slot_values``
         # finds the best ones.
         spread = (np.subtract.outer(np.arange(self.C), np.arange(self.U)) % self.C) < model.delta_max
         self.beta_one_slot = np.broadcast_to(spread / self.U, (self.L, self.C, self.U))
 
-    def _offsets(self, P):
-        """First columns of ``w`` and ``tU`` for ``P`` patterns."""
-        ow = self.L + P
-        return ow, ow + self.k * (2 if self.fills else 1)
+    def _columns(self, P):
+        """Grids of the count model's columns ``n | y | w | [a] | tU | tL |
+        theta`` for ``P`` patterns; without ``fills`` the ``a`` grid is empty."""
+        L, C, U = self.L, self.C, self.U
+        return block_grids([(L,), (P,), (L, C, U), (L, C, U if self.fills else 0), (L,), (), ()])
 
     def _lp(self, M, n_lo, n_hi, slots, weights):
-        """Dense count model over columns ``n | y | w | [a] | tU | tL | theta``.
+        """Dense count model over the columns of ``_columns``.
 
         ``n = M y`` and ``w[l,c,u] = beta * n_l``; ``n_hi`` caps every count
         and ``weights`` are the objective weights of ``(tU, tL, theta)``.
         """
-        L, C, U, k = self.L, self.C, self.U, self.k
-        P = M.shape[1]
-        ow, ou = self._offsets(P)
-        otl = ou + L
-        oth = otl + 1
-        n = oth + 1
-        ys = L + np.arange(P)
-        w = ow + np.arange(k).reshape(L, C, U)
-        a = ow + k + np.arange(k).reshape(L, C, U)
+        L, C, U = self.L, self.C, self.U
+        ns, ys, w, a, tu, tl, th = self._columns(M.shape[1])
+        n = th + 1
         rows, senses, b = [], [], []
 
         def row(cols, coefs, sense, rhs):
@@ -405,18 +399,18 @@ class _JointCounts:
 
         row(ys, 1.0, "<=", slots)
         for l in range(L):                                      # n = M y
-            row(np.append(l, ys), np.append(1.0, -M[l]), "=", 0.0)
+            row(np.append(ns[l], ys), np.append(1.0, -M[l]), "=", 0.0)
         for l in range(L):
             for c in range(C):                                  # C2: fills within n_l
-                row(np.append(w[l, c], l), np.append(np.ones(U), -1.0), "<=", 0.0)
+                row(np.append(w[l, c], ns[l]), np.append(np.ones(U), -1.0), "<=", 0.0)
         for l in range(L):
             for u in range(U):                                  # C4
-                row(np.append(w[l, :, u], ou + l), np.append(self.user_coef[l, :, u], -1.0), ">=", 0.0)
+                row(np.append(w[l, :, u], tu[l]), np.append(self.user_coef[l, :, u], -1.0), ">=", 0.0)
         for l in range(L):                                      # C5
-            row(np.append(w[l].ravel(), otl), np.append(self.cluster_coef[l].ravel(), -1.0), ">=", 0.0)
+            row(np.append(w[l].ravel(), tl), np.append(self.cluster_coef[l].ravel(), -1.0), ">=", 0.0)
         for l in range(L):                                      # C8
-            row([oth, ou + l], [1.0, -1.0], "<=", 0.0)
-        row([oth, otl], [1.0, -1.0], "<=", 0.0)
+            row([th, tu[l]], [1.0, -1.0], "<=", 0.0)
+        row([th, tl], [1.0, -1.0], "<=", 0.0)
         if self.fills:
             eps = self.model.epsilon_fill
             for l in range(L):
@@ -424,17 +418,16 @@ class _JointCounts:
                     row(a[l, :, u], 1.0, "<=", float(self.model.delta_max))
             for l, c, u in np.ndindex(L, C, U):                 # C7: w <= n_hi a, w >= eps n a
                 row([w[l, c, u], a[l, c, u]], [1.0, -n_hi], "<=", 0.0)
-                row([w[l, c, u], l, a[l, c, u]], [1.0, -eps, -eps * n_hi], ">=", -eps * n_hi)
+                row([w[l, c, u], ns[l], a[l, c, u]], [1.0, -eps, -eps * n_hi], ">=", -eps * n_hi)
         c = np.zeros(n)
-        c[ou:otl], c[otl], c[oth] = weights
+        c[tu], c[tl], c[th] = weights
         lo = np.zeros(n)
         hi = np.full(n, np.inf)
-        lo[:L], hi[:L] = n_lo, n_hi
+        lo[ns], hi[ns] = n_lo, n_hi
         hi[ys] = slots
-        hi[ow:ow + k] = n_hi
-        hi[ow + k:ou] = 1.0
-        tiers = [np.arange(L), a.ravel(), ys] if self.fills else [np.arange(L), ys]
-        return c, np.array(rows), senses, np.array(b), lo, hi, tiers
+        hi[w] = n_hi
+        hi[a] = 1.0
+        return c, np.array(rows), senses, np.array(b), lo, hi, [ns, a.ravel(), ys]
 
     def slot_values(self, search):
         """``g_l`` for every cluster from one block-separable LP (or MILP in
@@ -444,10 +437,10 @@ class _JointCounts:
         v, _, complete = _branch_and_bound(search, c, A, senses, b, lo, hi, tiers)
         if not complete:
             return None
-        ow, ou = self._offsets(L)
-        beta = v[ow:ow + self.k].reshape(L, self.C, self.U)
+        _, _, w, _, tu, _, _ = self._columns(L)
+        beta = v[w]
         self.beta_one_slot = np.where(beta >= self.model.epsilon_fill, beta, 0.0)
-        return v[ou:ou + L]
+        return v[tu]
 
     def tiebreak_bound(self, g):
         # tU_l <= T g_l, and tL is at most any cluster's best cluster ratio.
@@ -462,16 +455,14 @@ class _JointCounts:
         return self._point(_schedule(self.M, y, self.T), self.beta_one_slot)
 
     def expand(self, v):
-        L, P = self.M.shape
-        n = v[:L]
-        ow, _ = self._offsets(P)
-        w = v[ow:ow + self.k].reshape(L, self.C, self.U)
+        ns, ys, w, *_ = self._columns(self.M.shape[1])
+        n, w = v[ns], v[w]
         beta = np.divide(w, n[:, None, None], out=np.zeros_like(w), where=n[:, None, None] > 0)
         beta[beta < self.model.epsilon_fill * 1e-2] = 0.0   # LP round-off of a zero fill
         if not self.fills and np.any((beta > 0) & (beta < self.model.epsilon_fill)):
             self.floor_missed = True
             return None
-        return self._point(_schedule(self.M, v[L:L + P], self.T), beta)
+        return self._point(_schedule(self.M, v[ys], self.T), beta)
 
     def _point(self, z, beta):
         """Full column vector: ``a`` marks the nonzero fills of lit clusters,
@@ -480,14 +471,14 @@ class _JointCounts:
         beta = beta * (z.sum(axis=1) > 0)[:, None, None]
         q = beta[:, :, :, None] * z[:, None, None, :]
         x = np.zeros(model.num_cols)
-        x[cat.off_a:cat.off_beta] = (beta > 0).ravel()
-        x[cat.off_beta:cat.off_q] = beta.ravel()
-        x[cat.off_q:cat.off_z] = q.ravel()
-        x[cat.off_z:cat.off_tu] = z.ravel()
+        x[cat.a] = beta > 0
+        x[cat.beta] = beta
+        x[cat.q] = q
+        x[cat.z] = z
         served = q.sum(axis=3)
         t_user = np.einsum("lcu,lcu->lu", served, self.user_coef).min(axis=1)
         t_cluster = float(np.einsum("lcu,lcu->l", served, self.cluster_coef).min())
-        x[cat.off_tu:cat.off_tl] = t_user
+        x[cat.tu] = t_user
         x[cat.tl_col] = t_cluster
         x[cat.theta_col] = min(float(t_user.min()), t_cluster)
         return x
@@ -653,12 +644,11 @@ def brute_force(model: ModelInstance) -> MilpSolution:
     for l in range(L):
         for u in range(U):
             for c in a_pattern[l * U + u]:
-                x[cat.a_col(l, c, u)] = 1.0
-    x[cat.off_beta:cat.off_q] = beta.ravel()
-    q = beta[:, :, :, None] * z[:, None, None, :]
-    x[cat.off_q:cat.off_z] = q.ravel()
-    x[cat.off_z:cat.off_tu] = z.ravel()
-    x[cat.off_tu:cat.off_tl] = inner[tu0:tu0 + L]
+                x[cat.a[l, c, u]] = 1.0
+    x[cat.beta] = beta
+    x[cat.q] = beta[:, :, :, None] * z[:, None, None, :]
+    x[cat.z] = z
+    x[cat.tu] = inner[tu0:tu0 + L]
     x[cat.tl_col] = inner[tl_col]
     x[cat.theta_col] = inner[th_col]
     return MilpSolution(

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+import bhca.baseline
 import bhca.cli
 import bhca.model
 from bhca.cli import (
@@ -21,6 +23,24 @@ from bhca.scenario import SystemConfig
 from bhca.solver import MilpSolution
 
 from conftest import tiny_config
+
+# sha256 of every artifact of `bhca run --config desk --seed 1 --scheme both
+# --export-lp`, and of its manifest.json.
+DESK_1_CHECKSUMS = {
+    "comparison.csv": "d26ebd6e244c62d4bac248ab77aeb6b1232856aef7ad1285e57db54b4cd21781",
+    "comparison.json": "b2493926c1528d0b5def4983295503b3e2dde0128bbddab86b619daf44e67f66",
+    "metrics_bh.csv": "51d3559b013bdd16db987ff12f2710407321337820b6a8b14fdafdbbc4e57979",
+    "metrics_bh.json": "d2d4d28bf2ba8275370bb974d31f374a42894973b76f3ec68e8f4d64e9c7ae9b",
+    "metrics_bhca.csv": "f6885f72e08c7970642ba500f1d57c07cdd6d14a03d17f6eac39b37f44e31141",
+    "metrics_bhca.json": "7f1fda3d9019d2dab9e44d13d83e028f739184334533e5ed58dbdcfd6e57c393",
+    "model_bhca.lp": "1263e09e75c0ad0617725f1a0c22b6fcb6992872da80c4b5dab71a550dbccbf2",
+    "plan_bh.json": "acbd84d65449c83ac4d31bed2cec92f68dcb745258516bee9a89f25154842f3e",
+    "plan_bhca.json": "0a5963d965adfae0a8685be257f47857e3a0688706bf94226246536129422fb8",
+    "scenario.json": "eae40a32505ab2aaa1defa9349d2c4457c931fea3354a9b371dff90784fb5361",
+    "solver_log_bh.txt": "e7a61069b4bb7f9273da060e952bc292f96ed7be7dbcf575def6588513cf8aef",
+    "solver_log_bhca.txt": "c924ca694e9989ecce58e9884cbd88faa2cd0b378c8db59f21860a267e074965",
+}
+DESK_1_MANIFEST = "0e9480e9576b567c05a5dc66b19531d6ef19d2c70b9e388408e8b2ce345451a7"
 
 
 @pytest.fixture()
@@ -76,6 +96,13 @@ def test_run_both_schemes_emits_full_artifact_set(tmp_path, tiny_config_file):
     doc = json.loads((out / "manifest.json").read_text())
     assert set(doc["checksums"]) == set(names) - {"manifest.json"}
     assert doc["statuses"] == {"bhca": "optimal", "bh": "optimal"}
+
+
+def test_desk_artifacts_are_pinned(tmp_path):
+    manifest = RunManifest(config="desk", seed=1, scheme="both", out_dir=str(tmp_path), export_lp=True)
+    assert run(manifest) == EXIT_OK
+    assert manifest.checksums == DESK_1_CHECKSUMS
+    assert hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest() == DESK_1_MANIFEST
 
 
 def test_run_is_deterministic(tmp_path, tiny_config_file):
@@ -138,6 +165,23 @@ def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, key, val
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and key in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    (None, "cannot read config: [Errno 2] No such file or directory: '{path}'"),
+    ("[1, 2]", "config document must be a JSON object"),
+], ids=["missing-file", "not-an-object"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "config.json"
+    if doc is not None:
+        path.write_text(doc)
+    message = message.format(path=path)
+    out = tmp_path / "never"
+    assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == message + "\n"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -235,4 +279,22 @@ def test_infeasible_joint_plan_exits_solver_error(tmp_path, tiny_config_file, ca
     err = capsys.readouterr().err
     assert err.startswith("solver error: joint solution failed its audit: ")
     assert "violation(s): " in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_infeasible_bh_plan_exits_solver_error(tmp_path, tiny_config_file, capsys, monkeypatch):
+    def infeasible(model, *args, **kwargs):
+        # Every cluster lit in every slot breaks the per-slot cap C3.
+        values = np.zeros(model.num_cols)
+        values[model.binary] = 1.0
+        return MilpSolution(values, 0.0, "optimal", 1, 0.0, 0.0)
+
+    monkeypatch.setattr(bhca.baseline, "solve_milp", infeasible)
+    out = tmp_path / "never"
+    status = main(["run", "--config", tiny_config_file, "--seed", "7",
+                   "--scheme", "both", "--out", str(out)])
+    assert status == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: bh solution failed its audit: ")
+    assert "C3_t1 by 1" in err and err.count("\n") == 1
     assert not out.exists()

@@ -260,6 +260,73 @@ def test_fold_and_shape_edge_cases():
     assert round_trip_matches(model, parse_lp(text))
 
 
+def _non_ascii_model():
+    """Non-ASCII row tags and column names, one of them outside the Basic
+    Multilingual Plane, in rows that fold and rows between them."""
+    n = 24
+    names = [f"β{j:02d}" if j % 2 else f"𝛽{j:02d}_ü" for j in range(n)]
+    rows = [
+        LinearConstraint((0, 1), (1.0, -2.0), LESS, 1.0, "ratio_é"),
+        LinearConstraint(tuple(range(n)), (0.5,) * n, GREATER, 0.0, "Σ_wide"),
+        LinearConstraint((2,), (1.0,), EQUAL, 0.5, "plain"),
+        LinearConstraint(tuple(range(n)), tuple(-1.25 - j for j in range(n)), LESS, 3.0, "𝛽_wide_too"),
+        LinearConstraint((n - 1,), (2.0,), LESS, 4.0, "last_ö"),
+    ]
+    lower, upper = np.zeros(n), np.ones(n)
+    upper[20:] = [2.0, np.inf, 7.5, np.inf]
+    lower[21] = -1.0
+    return ModelInstance.from_constraints(
+        _Columns(names), rows, objective=np.linspace(-3.0, 3.0, n),
+        lower=lower, upper=upper, binary=np.arange(n) < 20,
+    )
+
+
+# export_lp of _non_ascii_model, pinned from the implementation that summed
+# piece lengths; widths count characters, not bytes.
+NON_ASCII_EXPORT = "\n".join([
+    "\\ Problem: bhca",
+    "Maximize",
+    " obj: - 3 𝛽00_ü - 2.739130434782609 β01 - 2.4782608695652173 𝛽02_ü - 2.217391304347826"
+    " β03 - 1.9565217391304348 𝛽04_ü - 1.6956521739130435 β05 - 1.4347826086956523 𝛽06_ü -"
+    " 1.173913043478261 β07 - 0.9130434782608696 𝛽08_ü",
+    "  - 0.6521739130434785 β09 - 0.3913043478260869 𝛽10_ü - 0.1304347826086958 β11 +"
+    " 0.13043478260869534 𝛽12_ü + 0.3913043478260869 β13 + 0.652173913043478 𝛽14_ü +"
+    " 0.9130434782608696 β15 + 1.1739130434782608 𝛽16_ü +",
+    "  1.4347826086956523 β17 + 1.695652173913043 𝛽18_ü + 1.9565217391304346 β19 +"
+    " 2.217391304347826 𝛽20_ü + 2.478260869565217 β21 + 2.7391304347826084 𝛽22_ü + 3 β23",
+    "Subject To",
+    " ratio_é: + 1 𝛽00_ü - 2 β01 <= 1",
+    " Σ_wide: + 0.5 𝛽00_ü + 0.5 β01 + 0.5 𝛽02_ü + 0.5 β03 + 0.5 𝛽04_ü + 0.5 β05 + 0.5 𝛽06_ü"
+    " + 0.5 β07 + 0.5 𝛽08_ü + 0.5 β09 + 0.5 𝛽10_ü + 0.5 β11 + 0.5 𝛽12_ü + 0.5 β13 + 0.5"
+    " 𝛽14_ü + 0.5 β15 + 0.5 𝛽16_ü + 0.5 β17 + 0.5 𝛽18_ü +",
+    "  0.5 β19 + 0.5 𝛽20_ü + 0.5 β21 + 0.5 𝛽22_ü + 0.5 β23 >= 0",
+    " plain: + 1 𝛽02_ü = 0.5",
+    " 𝛽_wide_too: - 1.25 𝛽00_ü - 2.25 β01 - 3.25 𝛽02_ü - 4.25 β03 - 5.25 𝛽04_ü - 6.25 β05 -"
+    " 7.25 𝛽06_ü - 8.25 β07 - 9.25 𝛽08_ü - 10.25 β09 - 11.25 𝛽10_ü - 12.25 β11 - 13.25 𝛽12_ü"
+    " - 14.25 β13 - 15.25 𝛽14_ü - 16.25 β15 - 17.25",
+    "  𝛽16_ü - 18.25 β17 - 19.25 𝛽18_ü - 20.25 β19 - 21.25 𝛽20_ü - 22.25 β21 - 23.25 𝛽22_ü -"
+    " 24.25 β23 <= 3",
+    " last_ö: + 2 β23 <= 4",
+    "Bounds",
+    " 0 <= 𝛽20_ü <= 2",
+    " β21 >= -1",
+    " 0 <= 𝛽22_ü <= 7.5",
+    "Binaries",
+    " 𝛽00_ü β01 𝛽02_ü β03 𝛽04_ü β05 𝛽06_ü β07 𝛽08_ü β09 𝛽10_ü β11 𝛽12_ü β13 𝛽14_ü β15 𝛽16_ü"
+    " β17 𝛽18_ü β19",
+    "End",
+    "",
+])
+
+
+def test_non_ascii_names_fold_by_characters():
+    model = _non_ascii_model()
+    text = export_lp(model)
+    assert text == NON_ASCII_EXPORT
+    assert max(len(line) for line in text.splitlines()) == 220
+    assert round_trip_matches(model, parse_lp(text))
+
+
 def test_a_token_wider_than_a_line_gets_a_line_of_its_own():
     wide = "w" * 230
     model = ModelInstance.from_constraints(
@@ -329,9 +396,9 @@ def test_export_memory_stays_near_its_text(modcod):
 
 
 def _two_column_model(lower=(0.0, 0.0), upper=(np.inf, 1.0), objective=(1.0, 1.0), coef=1.0, rhs=1.0,
-                      sense=LESS):
+                      sense=LESS, names=("u", "v"), tag="r1"):
     return ModelInstance.from_constraints(
-        _Columns(["u", "v"]), [LinearConstraint((0, 1), (1.0, coef), sense, rhs, "r1")],
+        _Columns(names), [LinearConstraint((0, 1), (1.0, coef), sense, rhs, tag)],
         objective=np.array(objective), lower=np.array(lower), upper=np.array(upper),
         binary=np.zeros(2, dtype=bool),
     )
@@ -345,7 +412,11 @@ def _two_column_model(lower=(0.0, 0.0), upper=(np.inf, 1.0), objective=(1.0, 1.0
     (dict(coef=np.nan), "row r1 "),
     (dict(rhs=np.inf), "row r1 "),
     (dict(sense="=<"), "row r1 has sense '=<'"),
-], ids=["free-lower", "nan-upper", "minus-inf-upper", "inf-objective", "nan-coef", "inf-rhs", "unknown-sense"])
+    (dict(tag="r\n1"), r"row 'r\\n1' holds a line break"),
+    (dict(tag="r\r1"), r"row 'r\\r1' holds a line break"),
+    (dict(names=("u", "v\n")), r"column 'v\\n' holds a line break"),
+], ids=["free-lower", "nan-upper", "minus-inf-upper", "inf-objective", "nan-coef", "inf-rhs", "unknown-sense",
+        "line-break-row", "carriage-return-row", "line-break-column"])
 def test_export_names_what_the_format_cannot_carry(change, match):
     # These used to raise OverflowError or "cannot convert float NaN to integer".
     with pytest.raises(ValueError, match=match):

@@ -91,7 +91,37 @@ def test_tags_iterate_as_read_by_index(modcod):
     for names in (desk.tags, hand_built.tags, desk.catalog.names, table2.names,
                   BaselineCatalog(L, T).names):
         assert list(names) == [names[i] for i in range(len(names))]
-    assert table2.names[table2.q_col(L - 1, C - 1, U - 1, T - 1)] == f"q_{L}_{C}_{U}_{T}"
+    assert table2.names[table2.q[L - 1, C - 1, U - 1, T - 1]] == f"q_{L}_{C}_{U}_{T}"
+
+
+def _catalog(case):
+    config = tiny_config(3) if case == "tiny" else load_config(resolve_config_path(case.split("-")[0]))
+    L, T = config.num_clusters, config.slots_per_window
+    if case.endswith("-bh"):
+        return BaselineCatalog(L, T)
+    return VariableCatalog(L, config.carriers_per_cluster, config.users_per_cluster, T)
+
+
+@pytest.mark.parametrize("case", ["tiny", "desk", "table2", "table2-bh"])
+def test_column_grids_tile_the_names(case):
+    cat = _catalog(case)
+    if isinstance(cat, BaselineCatalog):
+        grids = {"z": cat.z, "theta": cat.theta_col}
+    else:
+        grids = {"a": cat.a, "beta": cat.beta, "q": cat.q, "z": cat.z, "tU": cat.tu,
+                 "tL": cat.tl_col, "theta": cat.theta_col}
+        starts = [cat.off_a, cat.off_beta, cat.off_q, cat.off_z, cat.off_tu, cat.off_tl]
+        assert starts == [int(np.min(grid)) for grid in list(grids.values())[:6]]
+    assert isinstance(cat.theta_col, int)
+    every = np.concatenate([np.ravel(grid) for grid in grids.values()])
+    assert np.array_equal(np.sort(every), np.arange(cat.num_cols))
+    for head, grid in grids.items():
+        grid = np.asarray(grid)
+        for cell in (tuple(0 for _ in grid.shape), tuple(n - 1 for n in grid.shape),
+                     tuple(n // 2 for n in grid.shape)):
+            assert cat.names[grid[cell]] == "_".join([head, *(str(k + 1) for k in cell)])
+    if isinstance(cat, BaselineCatalog):
+        assert cat.z_col(cat.num_clusters - 1, 1) == cat.z[-1, 1]
 
 
 def test_assignment_and_fill_carry_no_time_axis(tiny_bundle):
@@ -126,7 +156,7 @@ def test_fill_without_assignment_reports_c7a(tiny_bundle):
     _, _, _, model = tiny_bundle
     cat = model.catalog
     x = np.zeros(model.num_cols)
-    x[cat.beta_col(0, 0, 0)] = 0.5
+    x[cat.beta[0, 0, 0]] = 0.5
     report = validate_solution(model, x)
     tags = {tag for tag, _ in report.entries}
     assert "C7a_l1_c1_u1" in tags
@@ -142,7 +172,7 @@ def test_integrality_violations_reported(tiny_bundle):
     _, _, _, model = tiny_bundle
     cat = model.catalog
     x = np.zeros(model.num_cols)
-    x[cat.z_col(0, 0)] = 0.4
+    x[cat.z[0, 0]] = 0.4
     report = validate_solution(model, x)
     assert any(tag.startswith("integrality_z_1_1") for tag, _ in report.entries)
 
@@ -151,7 +181,7 @@ def test_bound_violations_name_their_columns(tiny_bundle):
     _, _, _, model = tiny_bundle
     cat = model.catalog
     x = np.zeros(model.num_cols)
-    x[cat.beta_col(0, 0, 0)] = 1.5
+    x[cat.beta[0, 0, 0]] = 1.5
     x[cat.tl_col] = -1.0
     report = validate_solution(model, x)
     bounds = [(tag, v) for tag, v in report.entries if tag.startswith("bound_")]
@@ -199,11 +229,10 @@ def test_decode_single_user_full_fill_supplies_nts_times_rate(tiny_bundle):
     cat = model.catalog
     x = np.zeros(model.num_cols)
     # Cluster 0, carrier 0, user 0 fully served in every slot.
-    x[cat.a_col(0, 0, 0)] = 1.0
-    x[cat.beta_col(0, 0, 0)] = 1.0
-    for t in range(cat.num_slots):
-        x[cat.z_col(0, t)] = 1.0
-        x[cat.q_col(0, 0, 0, t)] = 1.0
+    x[cat.a[0, 0, 0]] = 1.0
+    x[cat.beta[0, 0, 0]] = 1.0
+    x[cat.z[0]] = 1.0
+    x[cat.q[0, 0, 0]] = 1.0
     plan = decode_plan(model, _FakeSolution(x), scenario)
     expected = cat.num_slots * rates.rate_per_slot[0, 0, 0]
     assert plan.user_supply[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -215,7 +244,7 @@ def test_decode_refuses_infeasible_with_report(tiny_bundle):
     scenario, _, _, model = tiny_bundle
     cat = model.catalog
     x = np.zeros(model.num_cols)
-    x[cat.beta_col(0, 0, 0)] = 0.7  # violates C7a
+    x[cat.beta[0, 0, 0]] = 0.7  # violates C7a
     with pytest.raises(InfeasibleSolutionError) as err:
         decode_plan(model, _FakeSolution(x), scenario)
     assert not err.value.report.empty
@@ -225,7 +254,7 @@ def test_nonfinite_entries_are_reported(tiny_bundle):
     scenario, _, _, model = tiny_bundle
     cat = model.catalog
     x = np.zeros(model.num_cols)
-    x[cat.beta_col(0, 0, 0)] = np.nan
+    x[cat.beta[0, 0, 0]] = np.nan
     x[cat.theta_col] = np.inf
     report = validate_solution(model, x)
     assert [tag for tag, _ in report.entries] == ["nonfinite_beta_1_1_1", "nonfinite_theta"]
@@ -255,5 +284,5 @@ def test_objective_is_theta_plus_tiebreak(tiny_bundle):
     assert obj[cat.theta_col] == 1.0
     assert obj[cat.tl_col] == model.epsilon_tiebreak
     for l in range(cat.num_clusters):
-        assert obj[cat.tu_col(l)] == model.epsilon_tiebreak
+        assert obj[cat.tu[l]] == model.epsilon_tiebreak
     assert np.count_nonzero(obj) == cat.num_clusters + 2

@@ -326,6 +326,9 @@ def test_rejects_a_nan_upper_bound():
 
 def test_rejects_an_unknown_sense():
     assert all("'<'" in msg for msg in _solve_both(*_with(senses=["<"])))
+    # The message shows the sense as written, not as a NumPy scalar.
+    want = "unknown sense '=<'; expected one of ('<=', '>=', '=')"
+    assert _solve_both(*_with(senses=["=<"])) == (want, want)
 
 
 @pytest.mark.parametrize("change", [
