@@ -22,6 +22,7 @@ from .model import (
     InfeasibleSolutionError,
     ModelInstance,
     RowBuilder,
+    chain_terms,
     index_labels,
 )
 from .scenario import Scenario
@@ -65,8 +66,8 @@ def build_bh_model(scenario: Scenario, rates: RateTable, pairs) -> ModelInstance
     rows = RowBuilder()
     rows.add(
         "RATIO", (ls,),
-        np.concatenate([z, np.full((L, 1), cat.theta_col)], axis=1),
-        np.concatenate([np.repeat(ratio[:, None], T, axis=1), np.full((L, 1), -1.0)], axis=1),
+        chain_terms(z, [cat.theta_col]),
+        chain_terms(np.repeat(ratio[:, None], T, axis=1), [-1.0]),
         GREATER, 0.0,
     )
     rows.add("C3", (ts,), z.T, 1.0, LESS, cfg.active_clusters_per_slot)

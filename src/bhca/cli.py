@@ -62,6 +62,8 @@ def _read_config(path: str) -> tuple[SystemConfig | None, list[str]]:
         config = load_config(resolve_config_path(path))
     except OSError as exc:
         return None, [f"cannot read config: {exc}"]
+    except UnicodeDecodeError as exc:
+        return None, [f"config is not UTF-8 text: {exc.reason} at byte {exc.start}"]
     except json.JSONDecodeError as exc:
         return None, [f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"]
     except ConfigError as exc:

@@ -124,6 +124,9 @@ def _run_text(model, names, tags, r0: int, r1: int) -> str:
     m, nnz, cols = r1 - r0, b - a, model.cols[a:b]
     rows = np.arange(m)
     tags = np.fromiter(itertools.islice(tags, m), dtype=object, count=m)
+    # Tags are checked here, as they are rendered once; column names were
+    # checked before any run.
+    _check_one_token("row", tags.tolist())
     coef_txt = _distinct(model.coefs[a:b], _signed)
     sense_txt = _distinct(model.senses[r0:r1], lambda s: f" {s} ")
     rhs_txt = _distinct(model.rhs[r0:r1], lambda v: _num(v) + "\n")
@@ -144,10 +147,6 @@ def _run_text(model, names, tags, r0: int, r1: int) -> str:
     del pieces  # before the fold copies slices of the text
 
     ends = _find(text, "\n")
-    if ends.size != m or "\r" in text:
-        # Tags are checked here, as they are rendered once; column names
-        # were checked before any run.
-        _check_one_line("row", tags.tolist())
     begins = np.concatenate([[0], ends[:-1] + 1])
     parts, done = [], 0
     for i in np.flatnonzero(ends - begins > _FOLD_WIDTH).tolist():
@@ -160,22 +159,29 @@ def _run_text(model, names, tags, r0: int, r1: int) -> str:
     return "".join(parts)
 
 
-def _check_one_line(kind: str, names: list[str]) -> None:
-    """Raise ``ValueError`` naming the first of ``names`` that holds a line
-    break: the export ends each line with ``"\\n"``, and readers of text also
-    end lines at ``"\\r"``."""
-    text = "".join(names)
-    if "\n" in text or "\r" in text:
-        name = next(n for n in names if "\n" in n or "\r" in n)
-        raise ValueError(f"{kind} {name!r} holds a line break; the LP format writes every name on one line")
+def _holds_whitespace(text: str) -> bool:
+    """Whether ``str.split`` cuts ``text``; ``str.splitlines`` cuts only at
+    characters ``str.split`` cuts at too."""
+    return bool(text) and text.split(maxsplit=1) != [text]
+
+
+def _check_one_token(kind: str, names: list[str]) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` that holds
+    whitespace: ``parse_lp`` reads lines with ``str.splitlines`` and tokens
+    with ``str.split``, so every name must be one token on one line. The
+    names are checked as one joined text, and one by one only on a hit."""
+    if _holds_whitespace("".join(names)):
+        name = next(n for n in names if _holds_whitespace(n))
+        what = "whitespace" if name.splitlines() == [name] else "a line break"
+        raise ValueError(f"{kind} {name!r} holds {what}; the LP format writes every name as one token on one line")
 
 
 def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first column or row holding a name or
-    number the dialect cannot carry: a name holds no line break (``_run_text``
+    number the dialect cannot carry: a name holds no whitespace (``_run_text``
     checks the tags), it has no free or ``-inf`` bound form, a row's sense is
     one of ``<=``, ``>=`` and ``=``, and a coefficient or rhs must be finite."""
-    _check_one_line("column", names.tolist())
+    _check_one_token("column", names.tolist())
     bad = ~np.isfinite(model.lower) | ~(model.upper > -np.inf) | ~np.isfinite(model.objective)
     if bad.any():
         j = int(bad.argmax())

@@ -196,21 +196,24 @@ class RowBuilder:
         self.counts, self.cols, self.coefs, self.senses, self.rhs, self.blocks = [], [], [], [], [], []
 
     def add(self, family, axes, cols, coefs, sense, rhs):
-        """One row per cell of the grid spanned by ``axes``.
+        """One row per cell of the grid spanned by ``axes``, in row-major order.
 
-        ``cols`` has shape ``grid + (k,)`` and holds each row's k terms in
-        order; ``coefs`` and ``rhs`` broadcast to ``cols`` and to the grid.
+        ``cols`` holds each row's k terms in order along its last axis, and
+        its other axes broadcast to the grid; ``coefs`` broadcasts to the
+        grid's terms, ``sense`` and ``rhs`` to the grid. A block whose sense
+        and rhs vary along its last axis interleaves rows of both kinds.
         Zero coefficients are dropped.
         """
         shape = tuple(len(axis) for axis in axes)
-        cols = np.asarray(cols, dtype=np.int64)
-        coefs = np.broadcast_to(np.asarray(coefs, dtype=float), cols.shape).reshape(-1, cols.shape[-1])
+        terms = shape + np.shape(cols)[-1:]
+        cols = _filled(terms, np.int64, cols).reshape(-1, terms[-1])
+        coefs = _filled(terms, float, coefs).reshape(cols.shape)
         keep = coefs != 0.0
         self.counts.append(keep.sum(axis=1))
-        self.cols.append(cols.reshape(-1, cols.shape[-1])[keep])
+        self.cols.append(cols[keep])
         self.coefs.append(coefs[keep])
-        self.senses.append(np.full(math.prod(shape), sense, dtype="<U2"))
-        self.rhs.append(np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel())
+        self.senses.append(_filled(shape, "<U2", sense).ravel())
+        self.rhs.append(_filled(shape, float, rhs).ravel())
         self.blocks.append((family, axes))
 
     def add_exclusions(self, sorted_pairs, z, slot_labels):
@@ -218,7 +221,7 @@ class RowBuilder:
         same slot; ``z`` is the (cluster, slot) column grid."""
         first, second = np.array(sorted_pairs, dtype=np.int64).reshape(-1, 2).T
         pair_labels = tuple(f"l{n1 + 1}_l{n2 + 1}" for n1, n2 in sorted_pairs)
-        self.add("C6", (pair_labels, slot_labels), _terms(z[first], z[second]), 1.0, LESS, 1.0)
+        self.add("C6", (pair_labels, slot_labels), stack_terms(z[first], z[second]), 1.0, LESS, 1.0)
 
     def arrays(self) -> dict:
         """The ``ModelInstance`` row fields."""
@@ -232,9 +235,24 @@ class RowBuilder:
         )
 
 
-def _terms(*grids) -> np.ndarray:
+def _filled(shape, dtype, values) -> np.ndarray:
+    """A new array of ``shape`` holding ``values`` broadcast to it."""
+    out = np.empty(shape, dtype=dtype)
+    out[...] = values
+    return out
+
+
+def stack_terms(*grids) -> np.ndarray:
     """Stack column grids into per-row term lists (last axis)."""
-    return np.stack(np.broadcast_arrays(*grids), axis=-1)
+    return chain_terms(*(np.asarray(grid)[..., None] for grid in grids))
+
+
+def chain_terms(*parts) -> np.ndarray:
+    """Per-row term lists (last axis) holding each part's terms in turn:
+    these terms, then those. The parts' other axes broadcast over the grid."""
+    parts = [np.asarray(part) for part in parts]
+    grid = np.broadcast(*(part[..., :1] for part in parts)).shape[:-1]
+    return np.concatenate([_filled(grid + part.shape[-1:], part.dtype, part) for part in parts], axis=-1)
 
 
 @dataclass(eq=False)
@@ -345,34 +363,33 @@ def build_model(
     user_coef = (R / demand[:, None, :]).transpose(0, 2, 1)           # (l, u, c)
     rows.add(
         "C4", (ls, us),
-        np.concatenate([q.transpose(0, 2, 1, 3).reshape(L, U, C * T),
-                        np.broadcast_to(tu[:, None, None], (L, U, 1))], axis=2),
-        np.concatenate([np.repeat(user_coef, T, axis=2), np.full((L, U, 1), -1.0)], axis=2),
+        chain_terms(q.transpose(0, 2, 1, 3).reshape(L, U, C * T), tu[:, None, None]),
+        chain_terms(np.repeat(user_coef, T, axis=2), [-1.0]),
         GREATER, 0.0,
     )
     # C5: per-cluster supply covers the system ratio floor, same normalization.
     cluster_coef = (R / demand.sum(axis=1)[:, None, None]).reshape(L, C * U)
     rows.add(
         "C5", (ls,),
-        np.concatenate([q.reshape(L, C * U * T), np.full((L, 1), cat.tl_col)], axis=1),
-        np.concatenate([np.repeat(cluster_coef, T, axis=1), np.full((L, 1), -1.0)], axis=1),
+        chain_terms(q.reshape(L, C * U * T), [cat.tl_col]),
+        chain_terms(np.repeat(cluster_coef, T, axis=1), [-1.0]),
         GREATER, 0.0,
     )
     # C6: adjacent clusters never co-illuminated.
     sorted_pairs = sorted(tuple(p) for p in pairs)
     rows.add_exclusions(sorted_pairs, z, ts)
     # C7: fill-rate active exactly when the carrier is assigned (big-M = 1).
-    rows.add("C7a", (ls, cs, us), _terms(beta, a), [1.0, -1.0], LESS, 0.0)
-    rows.add("C7b", (ls, cs, us), _terms(beta, a), [1.0, -1.0], GREATER, epsilon_fill - 1.0)
+    rows.add("C7a", (ls, cs, us), stack_terms(beta, a), [1.0, -1.0], LESS, 0.0)
+    rows.add("C7b", (ls, cs, us), stack_terms(beta, a), [1.0, -1.0], GREATER, epsilon_fill - 1.0)
     # C8: theta sits below every ratio floor.
-    rows.add("C8a", (ls,), _terms(cat.theta_col, tu), [1.0, -1.0], LESS, 0.0)
+    rows.add("C8a", (ls,), stack_terms(cat.theta_col, tu), [1.0, -1.0], LESS, 0.0)
     rows.add("C8b", (), [cat.theta_col, cat.tl_col], [1.0, -1.0], LESS, 0.0)
     # C9: envelope forcing q = beta * z at binary z.
     lcut = (ls, cs, us, ts)
     rows.add("C9a", lcut, q[..., None], 1.0, GREATER, 0.0)
-    rows.add("C9b", lcut, _terms(q, q_z), [1.0, -1.0], LESS, 0.0)
-    rows.add("C9c", lcut, _terms(q, q_beta), [1.0, -1.0], LESS, 0.0)
-    rows.add("C9d", lcut, _terms(q, q_beta, q_z), [1.0, -1.0, -1.0], GREATER, -1.0)
+    rows.add("C9b", lcut, stack_terms(q, q_z), [1.0, -1.0], LESS, 0.0)
+    rows.add("C9c", lcut, stack_terms(q, q_beta), [1.0, -1.0], LESS, 0.0)
+    rows.add("C9d", lcut, stack_terms(q, q_beta, q_z), [1.0, -1.0, -1.0], GREATER, -1.0)
 
     objective = np.zeros(cat.num_cols)
     objective[cat.theta_col] = 1.0

@@ -20,6 +20,8 @@ baseline stage-1 model (``build_bh_model``) by slot counts:
    can still beat ``theta*``.
 5. The winning counts expand to a schedule and a full column vector.
 
+Every LP is written as ``RowBuilder`` row blocks over ``block_grids``
+column grids, as the published models are, and densified by ``_dense``.
 Every LP is one node against the node limit, and the limits are checked
 before each one. ``branch_and_bound`` is a plain best-bound integer search
 over a model's full dense LP; the count route runs its sub-problems through
@@ -35,7 +37,8 @@ from heapq import heappush, heappop
 
 import numpy as np
 
-from .model import BaselineCatalog, ModelInstance, VariableCatalog, block_grids
+from .model import (EQUAL, GREATER, LESS, BaselineCatalog, ModelInstance, RowBuilder, VariableCatalog,
+                    block_grids, chain_terms, index_labels, stack_terms)
 from .simplex import LpSolution, solve_dense, solve_dense_batch
 
 # An integer column within this distance of an integer counts as integral,
@@ -153,22 +156,25 @@ def _branch_and_bound(search: _Search, c, A, senses, b, lo, hi, tiers,
     return best_x, best, True
 
 
-def _dense(model: ModelInstance):
-    A = np.zeros((model.num_rows, model.num_cols))
-    A[np.repeat(np.arange(model.num_rows), np.diff(model.indptr)), model.cols] = model.coefs
-    return A, model.senses, model.rhs
+def _dense(rows, num_cols: int):
+    """``A, senses, b`` of CSR rows over ``num_cols`` columns; ``rows`` maps
+    the ``ModelInstance`` row fields (``RowBuilder.arrays``) to arrays."""
+    indptr = rows["indptr"]
+    A = np.zeros((indptr.size - 1, num_cols))
+    A[np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), rows["cols"]] = rows["coefs"]
+    return A, rows["senses"], rows["rhs"]
 
 
 def solve_lp(model: ModelInstance) -> LpSolution:
     """Solve the model's LP relaxation (binaries relaxed to [0,1])."""
-    A, senses, b = _dense(model)
+    A, senses, b = _dense(vars(model), model.num_cols)
     return solve_dense(model.objective, A, senses, b, model.lower, model.upper)
 
 
 def branch_and_bound(model: ModelInstance, options: SolverOptions | None = None, log=None) -> MilpSolution:
     """Plain branch-and-bound over the model's binaries on its full dense LP."""
     search = _Search(options or SolverOptions(), log)
-    A, senses, b = _dense(model)
+    A, senses, b = _dense(vars(model), model.num_cols)
     x, _, complete = _branch_and_bound(
         search, model.objective, A, senses, b, model.lower.copy(), model.upper.copy(),
         [np.nonzero(model.binary)[0]], publish=True,
@@ -226,24 +232,48 @@ def _schedule(M: np.ndarray, y: np.ndarray, num_slots: int) -> np.ndarray:
     return z
 
 
+def _pattern_rows(M, n, y, slots) -> RowBuilder:
+    """Rows shared by the count models: at most ``slots`` patterns, and the
+    slot counts ``n = M y``."""
+    rows = RowBuilder()
+    rows.add("slots", (), y, 1.0, LESS, slots)
+    rows.add("n", (index_labels("l", M.shape[0]),), chain_terms(n[:, None], y), chain_terms([1.0], -M), EQUAL, 0.0)
+    return rows
+
+
+def _floor_rows(rows: RowBuilder, axes, fills, tu, tl, th, user_coef, cluster_coef) -> None:
+    """C4, C5 and C8 over the fill columns ``fills`` (l, c, u): the supplies
+    ``user_coef . fills`` and ``cluster_coef . fills`` cover ``tU_l`` and
+    ``tL``, and theta sits below every floor."""
+    ls, _, us = axes
+    rows.add("C4", (ls, us), chain_terms(fills.transpose(0, 2, 1), tu[:, None, None]),
+             chain_terms(user_coef.transpose(0, 2, 1), [-1.0]), GREATER, 0.0)
+    rows.add("C5", (ls,), chain_terms(fills.reshape(len(ls), -1), [tl]),
+             chain_terms(cluster_coef.reshape(len(ls), -1), [-1.0]), GREATER, 0.0)
+    rows.add("C8a", (ls,), stack_terms(th, tu), [1.0, -1.0], LESS, 0.0)
+    rows.add("C8b", (), [th, tl], [1.0, -1.0], LESS, 0.0)
+
+
+def _ratio_columns(M):
+    """Grids of the ratio model's columns ``n | y | theta``."""
+    return block_grids([(M.shape[0],), (M.shape[1],), ()])
+
+
 def _ratio_model(g, M, num_slots, lb, eps):
     """Dense model over columns ``n | y | theta``: at most ``num_slots``
     patterns, ``n = M y >= lb`` and ``theta <= g_l n_l``; the objective is
     ``theta + eps * g . n``. It is the baseline count model, and with
     ``eps = 0`` the theta bound and the packing checks of the joint one."""
-    L, P = M.shape
-    c = np.concatenate([eps * g, np.zeros(P), [1.0]])
-    A = np.zeros((1 + 2 * L, L + P + 1))
-    A[0, L:L + P] = 1.0
-    A[1:L + 1, :L] = np.eye(L)
-    A[1:L + 1, L:L + P] = -M
-    A[L + 1:, :L] = -np.diag(g)
-    A[L + 1:, -1] = 1.0
-    senses = ["<="] + ["="] * L + ["<="] * L
-    b = np.append(float(num_slots), np.zeros(2 * L))
-    lo = np.concatenate([lb, np.zeros(P + 1)])
-    hi = np.append(np.full(L + P, float(num_slots)), np.inf)
-    return c, A, senses, b, lo, hi, [np.arange(L), L + np.arange(P)]
+    n, y, theta = _ratio_columns(M)
+    rows = _pattern_rows(M, n, y, float(num_slots))
+    rows.add("theta", (index_labels("l", M.shape[0]),), stack_terms(n, theta), stack_terms(-g, 1.0), LESS, 0.0)
+    c = np.zeros(theta + 1)
+    c[n], c[theta] = eps * g, 1.0
+    lo = np.zeros(theta + 1)
+    lo[n] = lb
+    hi = np.full(theta + 1, float(num_slots))
+    hi[theta] = np.inf
+    return (c, *_dense(rows.arrays(), theta + 1), lo, hi, [n, y])
 
 
 def _solve_counts(model: ModelInstance, counts, search: _Search):
@@ -268,8 +298,10 @@ def _solve_counts(model: ModelInstance, counts, search: _Search):
     eps_b = model.epsilon_tiebreak * counts.tiebreak_bound(g)
     search.bound = min(search.bound, T * float(g.min()) + eps_b)
 
-    # Upper bound on theta*: the packing with fractional pattern counts.
-    c, A, senses, b, lo, hi, _ = _ratio_model(g, M, T, np.zeros(L), 0.0)
+    # Upper bound on theta*: the packing with fractional pattern counts. The
+    # packing checks solve the same LP under other bounds.
+    c, A, senses, b, lo, hi, tiers = _ratio_model(g, M, T, np.zeros(L), 0.0)
+    n_grid, y_grid = tiers
     _, theta_lp, complete = _branch_and_bound(search, c, A, senses, b, lo, hi, ())
     if not complete:
         return best_x, False
@@ -278,10 +310,11 @@ def _solve_counts(model: ModelInstance, counts, search: _Search):
     def packing(theta):
         """Integer pattern counts reaching ``theta``: ``(y, complete)``. Only
         candidates below ``theta_lp`` are checked, so every ``g_l`` is positive."""
-        c, A, senses, b, lo, hi, tiers = _ratio_model(g, M, T, np.ceil(theta / g - 1e-9), 0.0)
-        hi[-1] = 0.0   # a feasibility check: nothing to maximise
-        v, _, complete = _branch_and_bound(search, c, A, senses, b, lo, hi, tiers)
-        return (None if v is None else v[L:L + P]), complete
+        n_lo, check_hi = lo.copy(), hi.copy()
+        n_lo[n_grid] = np.ceil(theta / g - 1e-9)
+        check_hi[-1] = 0.0   # a feasibility check: nothing to maximise
+        v, _, complete = _branch_and_bound(search, c, A, senses, b, n_lo, check_hi, tiers)
+        return (None if v is None else v[y_grid]), complete
 
     # Search the candidates k * g_l: the top one first, then bisection.
     cands = np.unique(np.outer(g, np.arange(1, T + 1)))
@@ -345,8 +378,7 @@ class _BhCounts:
         return np.append(z.ravel(), theta)
 
     def expand(self, v):
-        L, P = self.M.shape
-        return self.plan(v[L:L + P])
+        return self.plan(v[_ratio_columns(self.M)[1]])
 
 
 class _JointCounts:
@@ -368,6 +400,7 @@ class _JointCounts:
         self.user_coef = model.rate_per_slot / demand[:, None, :]                    # C4
         self.cluster_coef = model.rate_per_slot / demand.sum(axis=1)[:, None, None]  # C5
         self.M = _patterns(self.L, model.active_clusters_per_slot, model.pairs)
+        self.axes = tuple(index_labels(p, k) for p, k in (("l", self.L), ("c", self.C), ("u", self.U)))
         # Even fills on delta_max carriers per user, until ``slot_values``
         # finds the best ones.
         spread = (np.subtract.outer(np.arange(self.C), np.arange(self.U)) % self.C) < model.delta_max
@@ -385,40 +418,20 @@ class _JointCounts:
         ``n = M y`` and ``w[l,c,u] = beta * n_l``; ``n_hi`` caps every count
         and ``weights`` are the objective weights of ``(tU, tL, theta)``.
         """
-        L, C, U = self.L, self.C, self.U
+        ls, cs, us = self.axes
         ns, ys, w, a, tu, tl, th = self._columns(M.shape[1])
         n = th + 1
-        rows, senses, b = [], [], []
-
-        def row(cols, coefs, sense, rhs):
-            r = np.zeros(n)
-            np.add.at(r, np.asarray(cols).ravel(), np.broadcast_to(coefs, np.shape(cols)).ravel())
-            rows.append(r)
-            senses.append(sense)
-            b.append(rhs)
-
-        row(ys, 1.0, "<=", slots)
-        for l in range(L):                                      # n = M y
-            row(np.append(ns[l], ys), np.append(1.0, -M[l]), "=", 0.0)
-        for l in range(L):
-            for c in range(C):                                  # C2: fills within n_l
-                row(np.append(w[l, c], ns[l]), np.append(np.ones(U), -1.0), "<=", 0.0)
-        for l in range(L):
-            for u in range(U):                                  # C4
-                row(np.append(w[l, :, u], tu[l]), np.append(self.user_coef[l, :, u], -1.0), ">=", 0.0)
-        for l in range(L):                                      # C5
-            row(np.append(w[l].ravel(), tl), np.append(self.cluster_coef[l].ravel(), -1.0), ">=", 0.0)
-        for l in range(L):                                      # C8
-            row([th, tu[l]], [1.0, -1.0], "<=", 0.0)
-        row([th, tl], [1.0, -1.0], "<=", 0.0)
+        rows = _pattern_rows(M, ns, ys, slots)
+        # C2: fills within n_l.
+        rows.add("C2", (ls, cs), chain_terms(w, ns[:, None, None]), chain_terms(np.ones(self.U), [-1.0]),
+                 LESS, 0.0)
+        _floor_rows(rows, self.axes, w, tu, tl, th, self.user_coef, self.cluster_coef)
         if self.fills:
             eps = self.model.epsilon_fill
-            for l in range(L):
-                for u in range(U):                              # C1
-                    row(a[l, :, u], 1.0, "<=", float(self.model.delta_max))
-            for l, c, u in np.ndindex(L, C, U):                 # C7: w <= n_hi a, w >= eps n a
-                row([w[l, c, u], a[l, c, u]], [1.0, -n_hi], "<=", 0.0)
-                row([w[l, c, u], ns[l], a[l, c, u]], [1.0, -eps, -eps * n_hi], ">=", -eps * n_hi)
+            rows.add("C1", (ls, us), a.transpose(0, 2, 1), 1.0, LESS, float(self.model.delta_max))
+            # C7: w <= n_hi a and w >= eps n a, the two rows of each fill in turn.
+            rows.add("C7", (ls, cs, us, ("a", "b")), stack_terms(w, ns[:, None, None], a)[..., None, :],
+                     [[1.0, 0.0, -n_hi], [1.0, -eps, -eps * n_hi]], [LESS, GREATER], [0.0, -eps * n_hi])
         c = np.zeros(n)
         c[tu], c[tl], c[th] = weights
         lo = np.zeros(n)
@@ -427,7 +440,7 @@ class _JointCounts:
         hi[ys] = slots
         hi[w] = n_hi
         hi[a] = 1.0
-        return c, np.array(rows), senses, np.array(b), lo, hi, [ns, a.ravel(), ys]
+        return (c, *_dense(rows.arrays(), n), lo, hi, [ns, a.ravel(), ys])
 
     def slot_values(self, search):
         """``g_l`` for every cluster from one block-separable LP (or MILP in
@@ -513,120 +526,81 @@ def brute_force(model: ModelInstance) -> MilpSolution:
     L, C, U, T = cat.num_clusters, cat.num_carriers, cat.num_users, cat.num_slots
     R = model.rate_per_slot
     demand = model.demand
-    d_cluster = demand.sum(axis=1)
     eps_fill = model.epsilon_fill
     eps_obj = model.epsilon_tiebreak
-    n_t = model.active_clusters_per_slot
-    pairs = model.pairs
 
-    slot_patterns = []
-    for mask in range(2 ** L):
-        active = [l for l in range(L) if mask >> l & 1]
-        if len(active) > n_t:
-            continue
-        if any((a, b) in pairs for a in active for b in active if a < b):
-            continue
-        slot_patterns.append(tuple(active))
+    def subsets(k):
+        """Every subset of ``range(k)`` as a 0/1 row, in bitmask order."""
+        return (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
 
-    carrier_sets = [
-        tuple(c for c in range(C) if mask >> c & 1)
-        for mask in range(2 ** C)
-        if bin(mask).count("1") <= model.delta_max
-    ]
+    # The clusters one slot may light, and the carriers one user may hold.
+    slot_masks = subsets(L)
+    keep = slot_masks.sum(axis=1) <= model.active_clusters_per_slot
+    for l1, l2 in model.pairs:
+        keep &= (slot_masks[:, l1] & slot_masks[:, l2]) == 0
+    slot_masks = slot_masks[keep].astype(float)
+    set_masks = subsets(C)
+    set_masks = set_masks[set_masks.sum(axis=1) <= model.delta_max].astype(bool)
 
-    total = len(slot_patterns) ** T * len(carrier_sets) ** (L * U)
+    n_assign = len(set_masks) ** (L * U)
+    total = len(slot_masks) ** T * n_assign
     if total > MAX_ORACLE_PATTERNS:
         raise ValueError(f"oracle enumeration would visit {total} patterns")
 
-    # Inner LP columns: beta (L*C*U), tU (L), tL, theta.
-    n_beta = L * C * U
-    n_cols = n_beta + L + 2
-    tu0 = n_beta
-    tl_col = n_beta + L
-    th_col = n_beta + L + 1
+    # Inner LP columns: beta (L, C, U), tU (L), tL, theta; the rows are
+    # build_model's C2, C4, C5 and C8 with the q terms of cluster l summed
+    # into n_l times its fills.
+    beta, tu, tl, th = block_grids([(L, C, U), (L,), (), ()])
+    n_cols = th + 1
+    axes = tuple(index_labels(p, k) for p, k in (("l", L), ("c", C), ("u", U)))
+    user_coef = R / demand[:, None, :]
+    cluster_coef = R / demand.sum(axis=1)[:, None, None]
 
-    def beta_idx(l, c, u):
-        return (l * C + c) * U + u
+    def inner_rows(n_active):
+        rows = RowBuilder()
+        rows.add("C2", axes[:2], beta, 1.0, LESS, 1.0)
+        scale = n_active[:, None, None]
+        _floor_rows(rows, axes, beta, tu, tl, th, user_coef * scale, cluster_coef * scale)
+        return _dense(rows.arrays(), n_cols)
 
     c_obj = np.zeros(n_cols)
-    c_obj[th_col] = 1.0
-    c_obj[tu0:tu0 + L] = eps_obj
-    c_obj[tl_col] = eps_obj
-
-    rows_c2 = np.zeros((L * C, n_cols))
-    for l in range(L):
-        for c in range(C):
-            for u in range(U):
-                rows_c2[l * C + c, beta_idx(l, c, u)] = 1.0
-    template_c4 = np.zeros((L * U, n_cols))
-    for l in range(L):
-        for u in range(U):
-            for c in range(C):
-                template_c4[l * U + u, beta_idx(l, c, u)] = R[l, c, u] / demand[l, u]
-            template_c4[l * U + u, tu0 + l] = -1.0
-    template_c5 = np.zeros((L, n_cols))
-    for l in range(L):
-        for c in range(C):
-            for u in range(U):
-                template_c5[l, beta_idx(l, c, u)] = R[l, c, u] / d_cluster[l]
-        template_c5[l, tl_col] = -1.0
-    rows_c8 = np.zeros((L + 1, n_cols))
-    for l in range(L):
-        rows_c8[l, th_col] = 1.0
-        rows_c8[l, tu0 + l] = -1.0
-    rows_c8[L, th_col] = 1.0
-    rows_c8[L, tl_col] = -1.0
-
-    senses = ["<="] * (L * C) + [">="] * (L * U) + [">="] * L + ["<="] * (L + 1)
-    b = np.zeros(L * C + L * U + L + L + 1)
-    b[:L * C] = 1.0
-
-    # Beta bounds of every carrier assignment, in itertools.product order.
-    set_masks = np.array([[c in s for c in range(C)] for s in carrier_sets])
-    n_assign = len(carrier_sets) ** (L * U)
-    lps_per_batch = max(1, ORACLE_BATCH_BYTES // (8 * len(b) * (n_cols + 2 * len(b))))
+    c_obj[th] = 1.0
+    c_obj[tu] = eps_obj
+    c_obj[tl] = eps_obj
 
     t_start = time.perf_counter()
     best_obj = -np.inf
     best = None
     evaluated = 0
     counts_seen = set()
-    for z_pattern in itertools.product(slot_patterns, repeat=T):
-        n_active = np.zeros(L)
-        for active in z_pattern:
-            for l in active:
-                n_active[l] += 1.0
+    for schedule in itertools.product(range(len(slot_masks)), repeat=T):
+        z = slot_masks[list(schedule)].T
+        n_active = z.sum(axis=1)
         # The inner LPs read the schedule only through its slot counts: the
         # first schedule with these counts already tried every assignment,
         # and a tie never replaces the best.
         if tuple(n_active) in counts_seen:
             continue
         counts_seen.add(tuple(n_active))
-        A = np.vstack([
-            rows_c2,
-            template_c4 * np.repeat(n_active, U)[:, None],
-            template_c5 * n_active[:, None],
-            rows_c8,
-        ])
-        # Slot scaling must leave the floor columns intact.
-        A[L * C:L * C + L * U, tu0:] = template_c4[:, tu0:]
-        A[L * C + L * U:L * C + L * U + L, tu0:] = template_c5[:, tu0:]
+        A, senses, b = inner_rows(n_active)
+        lps_per_batch = max(1, ORACLE_BATCH_BYTES // (8 * len(b) * (n_cols + 2 * len(b))))
         for start in range(0, n_assign, lps_per_batch):
+            # Beta bounds of the next carrier assignments, in itertools.product order.
             digits = np.stack(np.unravel_index(
                 np.arange(start, min(start + lps_per_batch, n_assign)),
-                (len(carrier_sets),) * (L * U)), axis=1)
-            assigned = set_masks[digits].reshape(-1, L, U, C).transpose(0, 1, 3, 2).reshape(-1, n_beta)
+                (len(set_masks),) * (L * U)), axis=1)
+            assigned = set_masks[digits].reshape(-1, L, U, C).transpose(0, 1, 3, 2).reshape(-1, beta.size)
             lo = np.zeros((len(digits), n_cols))
-            lo[:, :n_beta] = np.where(assigned, eps_fill, 0.0)
+            lo[:, beta.ravel()] = np.where(assigned, eps_fill, 0.0)
             hi = np.full((len(digits), n_cols), np.inf)
-            hi[:, :n_beta] = assigned
-            for row, sol in zip(digits, solve_dense_batch(c_obj, A, senses, b, lo, hi)):
+            hi[:, beta.ravel()] = assigned
+            for mask, sol in zip(assigned, solve_dense_batch(c_obj, A, senses, b, lo, hi)):
                 evaluated += 1
                 if sol.status != "optimal":
                     continue
                 if sol.objective > best_obj:
                     best_obj = sol.objective
-                    best = (z_pattern, tuple(carrier_sets[i] for i in row), sol.values)
+                    best = (z, mask, sol.values)
 
     if best is None:
         return MilpSolution(
@@ -634,23 +608,16 @@ def brute_force(model: ModelInstance) -> MilpSolution:
             nodes_explored=evaluated, wall_time=time.perf_counter() - t_start, gap=np.inf,
         )
 
-    z_pattern, a_pattern, inner = best
+    z, mask, inner = best
     x = np.zeros(model.num_cols)
-    beta = inner[:n_beta].reshape(L, C, U)
-    z = np.zeros((L, T))
-    for t, active in enumerate(z_pattern):
-        for l in active:
-            z[l, t] = 1.0
-    for l in range(L):
-        for u in range(U):
-            for c in a_pattern[l * U + u]:
-                x[cat.a[l, c, u]] = 1.0
-    x[cat.beta] = beta
-    x[cat.q] = beta[:, :, :, None] * z[:, None, None, :]
+    fills = inner[beta]
+    x[cat.a] = mask.reshape(L, C, U)
+    x[cat.beta] = fills
+    x[cat.q] = fills[:, :, :, None] * z[:, None, None, :]
     x[cat.z] = z
-    x[cat.tu] = inner[tu0:tu0 + L]
-    x[cat.tl_col] = inner[tl_col]
-    x[cat.theta_col] = inner[th_col]
+    x[cat.tu] = inner[tu]
+    x[cat.tl_col] = inner[tl]
+    x[cat.theta_col] = inner[th]
     return MilpSolution(
         values=x, objective=float(best_obj), status="optimal",
         nodes_explored=evaluated, wall_time=time.perf_counter() - t_start, gap=0.0,

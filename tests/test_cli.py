@@ -170,12 +170,13 @@ def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, key, val
 
 @pytest.mark.parametrize("doc, message", [
     (None, "cannot read config: [Errno 2] No such file or directory: '{path}'"),
-    ("[1, 2]", "config document must be a JSON object"),
-], ids=["missing-file", "not-an-object"])
+    (b"[1, 2]", "config document must be a JSON object"),
+    (b"\xff\xfe{}", "config is not UTF-8 text: invalid start byte at byte 0"),
+], ids=["missing-file", "not-an-object", "not-utf8"])
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, doc, message):
     path = tmp_path / "config.json"
     if doc is not None:
-        path.write_text(doc)
+        path.write_bytes(doc)
     message = message.format(path=path)
     out = tmp_path / "never"
     assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG

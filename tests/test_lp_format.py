@@ -415,12 +415,33 @@ def _two_column_model(lower=(0.0, 0.0), upper=(np.inf, 1.0), objective=(1.0, 1.0
     (dict(tag="r\n1"), r"row 'r\\n1' holds a line break"),
     (dict(tag="r\r1"), r"row 'r\\r1' holds a line break"),
     (dict(names=("u", "v\n")), r"column 'v\\n' holds a line break"),
+    (dict(tag="r 1"), r"row 'r 1' holds whitespace"),
+    (dict(tag="r\t1"), r"row 'r\\t1' holds whitespace"),
+    (dict(tag="r\x0c1"), r"row 'r\\x0c1' holds a line break"),
+    (dict(tag="r\u20281"), r"row 'r\\u20281' holds a line break"),
+    (dict(names=("u", "v 1")), r"column 'v 1' holds whitespace"),
+    (dict(names=("u", "v\t1")), r"column 'v\\t1' holds whitespace"),
+    (dict(names=("u", "v\x0c1")), r"column 'v\\x0c1' holds a line break"),
+    (dict(names=("u", "v\u20281")), r"column 'v\\u20281' holds a line break"),
 ], ids=["free-lower", "nan-upper", "minus-inf-upper", "inf-objective", "nan-coef", "inf-rhs", "unknown-sense",
-        "line-break-row", "carriage-return-row", "line-break-column"])
+        "line-break-row", "carriage-return-row", "line-break-column", "space-row", "tab-row", "form-feed-row",
+        "line-separator-row", "space-column", "tab-column", "form-feed-column", "line-separator-column"])
 def test_export_names_what_the_format_cannot_carry(change, match):
     # These used to raise OverflowError or "cannot convert float NaN to integer".
     with pytest.raises(ValueError, match=match):
         export_lp(_two_column_model(**change))
+
+
+def test_every_character_the_parser_splits_at_is_refused():
+    # parse_lp cuts lines with str.splitlines and tokens with str.split;
+    # the export refuses a name holding any character either would cut at.
+    pieces = (f"a{chr(code)}b" for code in range(0x110000))
+    cuts = [text[1] for text in pieces if len(text.split()) > 1 or len(text.splitlines()) > 1]
+    assert {" ", "\t", "\x0c", "\x85", "\u2028", "\u3000"} <= set(cuts)
+    for char in cuts:
+        for change in (dict(tag=f"r{char}1"), dict(names=("u", f"v{char}1"))):
+            with pytest.raises(ValueError, match="holds"):
+                export_lp(_two_column_model(**change))
 
 
 def test_parser_rejects_a_repeated_row(tiny_bundle):

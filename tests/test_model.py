@@ -8,20 +8,25 @@ from bhca.cli import resolve_config_path
 from bhca.linkbudget import compute_rate_table
 from bhca.lp_format import export_lp
 from bhca.model import (
+    EQUAL,
     GREATER,
     LESS,
     BaselineCatalog,
     InfeasibleSolutionError,
     LinearConstraint,
     ModelInstance,
+    RowBuilder,
     StructuralError,
     VariableCatalog,
+    block_grids,
     build_model,
+    chain_terms,
     decode_plan,
+    stack_terms,
     validate_solution,
 )
 from bhca.scenario import generate_scenario, load_config
-from bhca.solver import solve_milp
+from bhca.solver import _dense, solve_milp
 
 from conftest import make_bundle, tiny_config
 
@@ -286,3 +291,46 @@ def test_objective_is_theta_plus_tiebreak(tiny_bundle):
     for l in range(cat.num_clusters):
         assert obj[cat.tu[l]] == model.epsilon_tiebreak
     assert np.count_nonzero(obj) == cat.num_clusters + 2
+
+
+def test_row_block_interleaves_senses_along_its_last_axis():
+    x = block_grids([(2, 3)])[0]
+    rows = RowBuilder()
+    rows.add("P", (("l1", "l2"), ("c1", "c2", "c3"), ("lo", "hi")), x[..., None, None],
+             [[1.0], [2.0]], [LESS, GREATER], [5.0, -5.0])
+    arrays = rows.arrays()
+    assert list(arrays["tags"]) == [
+        f"P_{l}_{c}_{s}" for l in ("l1", "l2") for c in ("c1", "c2", "c3") for s in ("lo", "hi")
+    ]
+    assert arrays["senses"].tolist() == [LESS, GREATER] * 6
+    assert arrays["rhs"].tolist() == [5.0, -5.0] * 6
+    assert arrays["cols"].tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+    assert arrays["coefs"].tolist() == [1.0, 2.0] * 6
+    assert arrays["indptr"].tolist() == list(range(13))
+
+
+def test_dense_rows_match_row_values():
+    rng = np.random.default_rng(7)
+    L, C, U = 2, 3, 4
+    w, n, tu, tl = block_grids([(L, C, U), (L,), (L,), ()])
+    ls, cs, us = (tuple(f"{p}{k}" for k in range(size)) for p, size in (("l", L), ("c", C), ("u", U)))
+    coef = rng.uniform(-1.0, 1.0, (L, C, U))
+    coef[0, 1, 2] = 0.0   # dropped, so that row holds one term fewer
+    rows = RowBuilder()
+    rows.add("A", (ls, us), chain_terms(w.transpose(0, 2, 1), tu[:, None, None]),
+             chain_terms(coef.transpose(0, 2, 1), [-1.0]), GREATER, 0.0)
+    rows.add("B", (ls, cs, us, ("a", "b")), stack_terms(w, n[:, None, None])[..., None, :],
+             [[1.0, 0.0], [1.0, -0.5]], [LESS, GREATER], [0.0, -1.0])
+    rows.add("C", (), [tl, n[1]], [2.0, 3.0], EQUAL, 1.0)
+    arrays = rows.arrays()
+    num_cols = tl + 1
+    model = ModelInstance(
+        catalog=None, **arrays, objective=np.zeros(num_cols), lower=np.zeros(num_cols),
+        upper=np.ones(num_cols), binary=np.zeros(num_cols, dtype=bool),
+    )
+    A, senses, b = _dense(arrays, num_cols)
+    assert A.shape == (model.num_rows, num_cols) == (L * U + 2 * L * C * U + 1, num_cols)
+    assert np.count_nonzero(A) == model.cols.size == L * U * (C + 1) - 1 + 3 * L * C * U + 2
+    point = rng.uniform(0.0, 1.0, num_cols)
+    assert np.allclose(A @ point, model.row_values(point), rtol=1e-14, atol=1e-14)
+    assert senses is arrays["senses"] and b is arrays["rhs"]

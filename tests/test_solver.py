@@ -27,7 +27,7 @@ from bhca.scenario import (
     adjacency_pairs,
     load_config,
 )
-from bhca.simplex import solve_dense_batch
+from bhca.simplex import solve_dense, solve_dense_batch
 from bhca.solver import (
     SolverOptions,
     branch_and_bound,
@@ -234,6 +234,49 @@ def test_oracle_batch_cap_keeps_the_plan(modcod, seed, monkeypatch):
         assert got.nodes_explored == want.nodes_explored == 1536
 
 
+def _lp_stream(monkeypatch, solve):
+    """Number of LPs ``solve()`` hands to the simplex and one sha256 over
+    all of them in call order: ``c, A, senses, b`` and the bounds."""
+    digest, count = hashlib.sha256(), [0]
+
+    def record(solver):
+        def recorded(c, A, senses, b, lo, hi):
+            count[0] += 1
+            for part in (c, np.asarray(A) + 0.0, np.asarray(senses, dtype="<U2"), b, lo, hi):
+                part = np.ascontiguousarray(part)
+                digest.update(repr((part.shape, part.dtype.str)).encode() + part.tobytes())
+            return solver(c, A, senses, b, lo, hi)
+        return recorded
+
+    monkeypatch.setattr("bhca.solver.solve_dense", record(solve_dense))
+    monkeypatch.setattr("bhca.solver.solve_dense_batch", record(solve_dense_batch))
+    solve()
+    return count[0], digest.hexdigest()
+
+
+# LP count and stream sha256 of each route, pinned from the solver that
+# wrote its LPs row by row: a refactor of the LP builders must hand the
+# simplex the same LPs in the same order.
+LP_STREAMS = {
+    "desk1-joint": (7, "00336df8a1c75e6a5e52928d62d73f7954ea470b8b45da5d729cd98cd0b1c2a9"),
+    "desk1-bh": (3, "fcd9fc32119e2922b68851b3ed012630639df83e99d0f7795ceb2486cdc600a4"),
+    "tiny1-oracle": (6, "7797d81d1117b7ed3e6ad480a224cb3749cf00765d76aad56ffac5abb3e29411"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LP_STREAMS))
+def test_lp_stream_is_pinned(modcod, monkeypatch, case):
+    config = tiny_config(1) if case == "tiny1-oracle" else desk_config(1)
+    scenario, rates, pairs, model = make_bundle(config, modcod)
+    if case == "tiny1-oracle":
+        got = _lp_stream(monkeypatch, lambda: brute_force(model))
+    elif case == "desk1-bh":
+        got = _lp_stream(monkeypatch, lambda: solve_milp(build_bh_model(scenario, rates, pairs)))
+    else:
+        got = _lp_stream(monkeypatch, lambda: solve_milp(model))
+    assert got == LP_STREAMS[case]
+
+
 def test_brute_force_refuses_large_models(desk_bundle):
     _, _, _, model = desk_bundle
     with pytest.raises(ValueError, match="24 binaries"):
@@ -298,6 +341,18 @@ def test_desk_plans_are_proven_optimal(modcod, seed):
     assert bh.objective == pytest.approx(DESK_BH[seed - 1], abs=1e-6)
     assert validate_solution(model, joint.values).empty
     assert validate_solution(bh_model, bh.values).empty
+
+
+def test_desk_single_carrier_plan_is_proven_optimal(modcod):
+    # delta_max = 1 is below the 2 carriers per cluster, so the count model
+    # carries the assignment binaries with the C1 and C7 rows. HiGHS gave
+    # 0.311804 on this model.
+    _, _, _, model = make_bundle(desk_config(2, delta_max=1), modcod)
+    sol = solve_milp(model)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(0.3118039126, abs=1e-9)
+    assert sol.nodes_explored == 134
+    assert validate_solution(model, sol.values).empty
 
 
 @pytest.fixture(scope="module")
