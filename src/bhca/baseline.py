@@ -5,6 +5,16 @@ Stage 1 solves a reduced MILP over the illumination binaries only, with the
 same max-min ratio objective restricted to cluster level. Stage 2 hands each
 allocated slot wholly to one user on its own beam's carrier, so unused
 per-slot capacity is never shared across users.
+
+Both stages read one mask, ``own_beam``: carrier ``c`` of cluster ``l``
+serves user ``u`` when the carrier sits on the user's nearest beam. Three
+rules settle what the mask leaves open:
+
+- a carrier whose beam has no users is priced at the mean rate over the
+  whole cluster (stage 1);
+- a user on a beam with several carriers is served by the lowest of them
+  (stage 2);
+- a user on a beam with no carrier is served by carrier 0 (stage 2).
 """
 from __future__ import annotations
 
@@ -29,22 +39,34 @@ from .scenario import Scenario
 from .solver import MilpSolution, SolverOptions, solve_milp
 
 
+def own_beam(scenario: Scenario) -> np.ndarray:
+    """(L, C, U) mask: carrier ``c`` of cluster ``l`` serves user ``u``'s beam."""
+    clusters = scenario.clusters
+    carrier_beam = np.array([[scenario.carriers[c].beam_id for c in cl.carrier_ids] for cl in clusters])
+    user_beam = np.array([[scenario.users[u].beam_id for u in cl.user_ids] for cl in clusters])
+    return carrier_beam[:, :, None] == user_beam[:, None, :]
+
+
 def cluster_slot_capacity(scenario: Scenario, rates: RateTable) -> np.ndarray:
     """Per-slot capacity of each cluster with every carrier serving its beam.
 
-    A carrier's contribution is the mean rate over its beam's users (cluster
-    mean when the nearest-beam assignment left a beam empty).
+    A carrier's contribution is the mean rate over its beam's users, or over
+    all of the cluster's users when the nearest-beam assignment left its beam
+    empty. (In stage 2 a user takes the lowest carrier on its beam, or
+    carrier 0 when no carrier is on it; see ``solve_bh``.)
     """
-    L = scenario.config.num_clusters
-    caps = np.zeros(L)
-    R = rates.rate_per_slot
-    for cluster in scenario.clusters:
-        users = scenario.users_of_cluster(cluster.id)
-        for ci, carrier in enumerate(scenario.carriers_of_cluster(cluster.id)):
-            own = [ui for ui, u in enumerate(users) if u.beam_id == carrier.beam_id]
-            pool = own if own else range(len(users))
-            caps[cluster.id] += float(np.mean([R[cluster.id, ci, ui] for ui in pool]))
-    return caps
+    own = own_beam(scenario)
+    pool = own | ~own.any(axis=2, keepdims=True)
+    # Each carrier's pool as a run of one flat array, behind a 0.0 of its
+    # own: reduceat then sums a run as ``np.mean`` sums the pool alone (from
+    # 0.0, pairwise), where a masked sum over all users would group the
+    # terms differently and move the last bits.
+    lead = [(0, 0), (0, 0), (1, 0)]
+    runs = np.pad(rates.rate_per_slot, lead)[np.pad(pool, lead, constant_values=True)]
+    size = pool.sum(axis=2)
+    width = (size + 1).ravel()
+    sums = np.add.reduceat(runs, np.cumsum(width) - width).reshape(size.shape)
+    return (sums / size).sum(axis=1)
 
 
 def build_bh_model(scenario: Scenario, rates: RateTable, pairs) -> ModelInstance:
@@ -146,15 +168,6 @@ class BhPlan:
         }
 
 
-def user_carrier_index(scenario: Scenario, cluster_id: int, local_user: int) -> int:
-    """Local index of the carrier on the user's own beam (lowest id wins)."""
-    user = scenario.users_of_cluster(cluster_id)[local_user]
-    for ci, carrier in enumerate(scenario.carriers_of_cluster(cluster_id)):
-        if carrier.beam_id == user.beam_id:
-            return ci
-    return 0
-
-
 def solve_bh(
     scenario: Scenario,
     rates: RateTable,
@@ -164,8 +177,6 @@ def solve_bh(
 ) -> BhPlan:
     """Run both baseline stages and decode the resulting plan; raise
     ``InfeasibleSolutionError`` if the stage-1 point fails its rows."""
-    cfg = scenario.config
-    L, U = cfg.num_clusters, cfg.users_per_cluster
     model = build_bh_model(scenario, rates, pairs)
     stage1 = solve_milp(model, options, log=log)
     # Looked up on the module at call time, as ``decode_plan`` does, so
@@ -176,17 +187,15 @@ def solve_bh(
     cat = model.catalog
     z = stage1.values[cat.z] > 0.5
 
-    demand = scenario.demand_matrix()
-    R = rates.rate_per_slot
-    slots_per_cluster = tuple(tuple(int(t) for t in np.nonzero(z[l])[0]) for l in range(L))
-    user_slots = np.zeros((L, U), dtype=np.int64)
-    user_supply = np.zeros((L, U))
-    for l in range(L):
-        counts = distribute_slots(len(slots_per_cluster[l]), demand[l])
-        for u in range(U):
-            user_slots[l, u] = counts[u]
-            ci = user_carrier_index(scenario, l, u)
-            user_supply[l, u] = counts[u] * R[l, ci, u]
+    slots_per_cluster = tuple(tuple(int(t) for t in np.nonzero(row)[0]) for row in z)
+    user_slots = np.array(
+        [distribute_slots(len(slots), d) for slots, d in zip(slots_per_cluster, scenario.demand_matrix())],
+        dtype=np.int64,
+    )
+    # Each user's carrier: the lowest one on its beam, or carrier 0 when no
+    # carrier is on it (argmax of an all-False row).
+    carrier = own_beam(scenario).argmax(axis=1)
+    user_supply = user_slots * np.take_along_axis(rates.rate_per_slot, carrier[:, None, :], axis=1)[:, 0]
     cluster_supply = user_supply.sum(axis=1)
     for arr in (user_slots, user_supply, cluster_supply):
         arr.flags.writeable = False

@@ -30,7 +30,7 @@ from .linkbudget import ModcodTable, compute_rate_table
 from .model import InfeasibleSolutionError, build_model, decode_plan, validate_solution  # noqa: F401
 from .lp_format import export_lp
 from .scenario import ConfigError, SystemConfig, adjacency_pairs, generate_scenario, load_config
-from .solver import SolverOptions, solve_milp
+from .solver import MilpSolution, SolverOptions, solve_milp
 
 logger = logging.getLogger("bhca")
 
@@ -98,8 +98,8 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _summary(report: metrics.MetricsReport, extra: dict | None = None) -> dict:
-    doc = {
+def _summary(report: metrics.MetricsReport, solution: MilpSolution) -> dict:
+    return {
         "min_user_ratio": report.min_user_ratio,
         "min_cluster_ratio": report.min_cluster_ratio,
         "jain_user_system": report.jain_user_system,
@@ -110,10 +110,33 @@ def _summary(report: metrics.MetricsReport, extra: dict | None = None) -> dict:
         "total_demand_mbps": report.total_demand_mbps,
         "total_supply_mbps": report.total_supply_mbps,
         "unused_mbps": report.unused_mbps,
+        "objective": solution.objective,
+        "status": solution.status,
+        "gap": solution.gap,
+        "nodes_explored": solution.nodes_explored,
     }
-    if extra:
-        doc.update(extra)
-    return doc
+
+
+def _solve(scheme: str, scenario, rates, pairs, manifest: RunManifest, artifacts: dict):
+    """Solve one scheme; return its plan, its MILP solution and its solver
+    log lines. The joint scheme adds its LP export to ``artifacts``."""
+    opts = manifest.solver_options()
+    log_lines: list[str] = []
+    try:
+        if scheme == "bhca":
+            logger.info("building joint model")
+            model = build_model(scenario, rates, pairs)
+            if manifest.export_lp:
+                artifacts["model_bhca.lp"] = export_lp(model)
+            logger.info("solving joint model (node limit %d)", opts.node_limit)
+            solution = solve_milp(model, opts, log=log_lines.append)
+            return decode_plan(model, solution, scenario), solution, log_lines
+        logger.info("solving conventional baseline")
+        plan = baseline.solve_bh(scenario, rates, pairs, opts, log=log_lines.append)
+        return plan, plan.stage1, log_lines
+    except InfeasibleSolutionError as exc:
+        name = "joint" if scheme == "bhca" else scheme
+        raise RuntimeError(f"{name} solution failed its audit: {exc.report}") from exc
 
 
 def run(manifest: RunManifest) -> int:
@@ -138,59 +161,21 @@ def run(manifest: RunManifest) -> int:
     modcod = ModcodTable.default()
     rates = compute_rate_table(scenario, modcod)
     pairs = adjacency_pairs(scenario)
-    opts = manifest.solver_options()
-
     artifacts: dict[str, str] = {"scenario.json": scenario.snapshot_json()}
     statuses: dict[str, str] = {}
     reports: dict[str, metrics.MetricsReport] = {}
     summaries: dict[str, dict] = {}
 
-    if manifest.scheme in ("bhca", "both"):
-        logger.info("building joint model")
-        model = build_model(scenario, rates, pairs)
-        if manifest.export_lp:
-            artifacts["model_bhca.lp"] = export_lp(model)
-        log_lines: list[str] = []
-        logger.info("solving joint model (node limit %d)", opts.node_limit)
-        solution = solve_milp(model, opts, log=log_lines.append)
-        statuses["bhca"] = solution.status
-        artifacts["solver_log_bhca.txt"] = "\n".join(log_lines) + "\n"
-        try:
-            plan = decode_plan(model, solution, scenario)
-        except InfeasibleSolutionError as exc:
-            raise RuntimeError(f"joint solution failed its audit: {exc.report}") from exc
-        artifacts["plan_bhca.json"] = _dump_json(plan.to_dict())
+    for scheme in ("bhca", "bh") if manifest.scheme == "both" else (manifest.scheme,):
+        plan, solution, log_lines = _solve(scheme, scenario, rates, pairs, manifest, artifacts)
+        statuses[scheme] = solution.status
+        artifacts[f"solver_log_{scheme}.txt"] = "\n".join(log_lines) + "\n"
+        artifacts[f"plan_{scheme}.json"] = _dump_json(plan.to_dict())
         report = metrics.build_report(plan, scenario)
-        reports["bhca"] = report
-        summaries["bhca"] = _summary(report, {
-            "objective": solution.objective,
-            "status": solution.status,
-            "gap": solution.gap,
-            "nodes_explored": solution.nodes_explored,
-        })
-        artifacts["metrics_bhca.json"] = metrics.report_json(report)
-        artifacts["metrics_bhca.csv"] = metrics.report_csv(report, scenario)
-
-    if manifest.scheme in ("bh", "both"):
-        log_lines = []
-        logger.info("solving conventional baseline")
-        try:
-            plan_bh = baseline.solve_bh(scenario, rates, pairs, opts, log=log_lines.append)
-        except InfeasibleSolutionError as exc:
-            raise RuntimeError(f"bh solution failed its audit: {exc.report}") from exc
-        statuses["bh"] = plan_bh.stage1.status
-        artifacts["solver_log_bh.txt"] = "\n".join(log_lines) + "\n"
-        artifacts["plan_bh.json"] = _dump_json(plan_bh.to_dict())
-        report = metrics.build_report(plan_bh, scenario)
-        reports["bh"] = report
-        summaries["bh"] = _summary(report, {
-            "objective": plan_bh.stage1.objective,
-            "status": plan_bh.stage1.status,
-            "gap": plan_bh.stage1.gap,
-            "nodes_explored": plan_bh.stage1.nodes_explored,
-        })
-        artifacts["metrics_bh.json"] = metrics.report_json(report)
-        artifacts["metrics_bh.csv"] = metrics.report_csv(report, scenario)
+        reports[scheme] = report
+        summaries[scheme] = _summary(report, solution)
+        artifacts[f"metrics_{scheme}.json"] = metrics.report_json(report)
+        artifacts[f"metrics_{scheme}.csv"] = metrics.report_csv(report, scenario)
 
     if manifest.scheme == "both":
         artifacts["comparison.json"] = _dump_json({

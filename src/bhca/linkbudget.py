@@ -92,11 +92,11 @@ def compute_rate_table(scenario: Scenario, modcod: ModcodTable) -> RateTable:
     error; rate = symbol_rate * f_SE(sinr), with symbol rate B/(1+roll_off).
     """
     cfg = scenario.config
-    L = cfg.num_clusters
-    C = cfg.carriers_per_cluster
-    U = cfg.users_per_cluster
-
-    beam_xy = {b.id: (b.x_km, b.y_km) for b in scenario.beams}
+    beam_xy = np.array([[b.x_km, b.y_km] for b in scenario.beams])
+    carrier_beam = [[scenario.carriers[c].beam_id for c in cl.carrier_ids] for cl in scenario.clusters]
+    carrier_xy = beam_xy[carrier_beam]
+    user_xy = np.array([[(scenario.users[u].x_km, scenario.users[u].y_km) for u in cl.user_ids]
+                        for cl in scenario.clusters])
     per_carrier_power_dbw = cfg.power_per_transponder - 10.0 * np.log10(
         cfg.carriers_per_transponder
     )
@@ -104,20 +104,17 @@ def compute_rate_table(scenario: Scenario, modcod: ModcodTable) -> RateTable:
     # Gaussian rolloff: -3 dB at half the pitch from boresight.
     r3 = cfg.beam_pitch_km / 2.0
 
-    sinr = np.empty((L, C, U))
-    for cluster in scenario.clusters:
-        for ci, carrier in enumerate(scenario.carriers_of_cluster(cluster.id)):
-            bx, by = beam_xy[carrier.beam_id]
-            for ui, user in enumerate(scenario.users_of_cluster(cluster.id)):
-                dist = np.hypot(user.x_km - bx, user.y_km - by)
-                gain = cfg.tx_peak_gain_dbi - 3.0 * (dist / r3) ** 2
-                sinr[cluster.id, ci, ui] = (
-                    per_carrier_power_dbw
-                    + gain
-                    + cfg.rx_gain_over_temp_db_per_k
-                    - cfg.path_loss_db
-                    - noise_dbw
-                )
+    # (L, C, U): carrier c's beam center against user u, both of cluster l.
+    offset = user_xy[:, None, :, :] - carrier_xy[:, :, None, :]
+    dist = np.hypot(offset[..., 0], offset[..., 1])
+    gain = cfg.tx_peak_gain_dbi - 3.0 * (dist / r3) ** 2
+    sinr = (
+        per_carrier_power_dbw
+        + gain
+        + cfg.rx_gain_over_temp_db_per_k
+        - cfg.path_loss_db
+        - noise_dbw
+    )
 
     efficiency = modcod.efficiency(sinr)
     rate_bps = cfg.symbol_rate * efficiency

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EQUAL, GREATER, LESS, ModelInstance
+from .model import SENSES, ModelInstance
 
 _FOLD_WIDTH = 220
 # Largest weight of one Subject To run, a row weighing its terms plus one;
 # see ``_runs``.
 EXPORT_RUN_TERMS = 16_384
-_SENSES = (LESS, GREATER, EQUAL)
 
 
 def _num(x: float) -> str:
@@ -190,10 +189,10 @@ def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
             f"coefficient {model.objective[j]!r}; the LP format needs a finite lower bound and "
             "finite coefficients"
         )
-    bad = ~np.isin(model.senses, _SENSES)
+    bad = ~np.isin(model.senses, SENSES)
     if bad.any():
         i = int(bad.argmax())
-        raise ValueError(f"row {model.tags[i]} has sense {str(model.senses[i])!r}; expected one of {_SENSES}")
+        raise ValueError(f"row {model.tags[i]} has sense {str(model.senses[i])!r}; expected one of {SENSES}")
     bad = ~np.isfinite(model.rhs)
     bad[np.searchsorted(model.indptr, np.flatnonzero(~np.isfinite(model.coefs)), side="right") - 1] = True
     if bad.any():
@@ -337,7 +336,7 @@ def parse_lp(text: str) -> ParsedLp:
     for chunk in constraint_chunks:
         name = chunk[0][:-1]
         body = chunk[1:]
-        sense_pos = next((i for i, t in enumerate(body) if t in _SENSES), None)
+        sense_pos = next((i for i, t in enumerate(body) if t in SENSES), None)
         if sense_pos is None or sense_pos != len(body) - 2:
             raise ValueError(f"constraint {name!r} lacks 'expr <sense> rhs' shape")
         if name in constraints:

@@ -22,6 +22,7 @@ from .scenario import Scenario
 LESS = "<="
 GREATER = ">="
 EQUAL = "="
+SENSES = (LESS, GREATER, EQUAL)
 
 DEFAULT_EPSILON_FILL = 1e-6
 DEFAULT_EPSILON_TIEBREAK = 1e-4
@@ -202,8 +203,12 @@ class RowBuilder:
         its other axes broadcast to the grid; ``coefs`` broadcasts to the
         grid's terms, ``sense`` and ``rhs`` to the grid. A block whose sense
         and rhs vary along its last axis interleaves rows of both kinds.
-        Zero coefficients are dropped.
+        Zero coefficients are dropped. An unknown sense raises ``ValueError``
+        naming the block.
         """
+        unknown = set(np.ravel(sense).tolist()) - set(SENSES)
+        if unknown:
+            raise ValueError(f"block {family} has sense {min(unknown)!r}; expected one of {SENSES}")
         shape = tuple(len(axis) for axis in axes)
         terms = shape + np.shape(cols)[-1:]
         cols = _filled(terms, np.int64, cols).reshape(-1, terms[-1])
@@ -287,7 +292,11 @@ class ModelInstance:
 
     @classmethod
     def from_constraints(cls, catalog, constraints, **fields) -> "ModelInstance":
-        """A model whose rows are the given ``LinearConstraint`` list."""
+        """A model whose rows are the given ``LinearConstraint`` list; an
+        unknown sense raises ``ValueError`` naming the row."""
+        for r in constraints:
+            if r.sense not in SENSES:
+                raise ValueError(f"row {r.tag} has sense {r.sense!r}; expected one of {SENSES}")
         return cls(
             catalog=catalog,
             indptr=np.cumsum([0, *(len(r.cols) for r in constraints)], dtype=np.int64),

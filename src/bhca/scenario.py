@@ -407,17 +407,9 @@ def adjacency_pairs(scenario: Scenario) -> frozenset[tuple[int, int]]:
     irreflexive by construction.
     """
     xy = np.array([[b.x_km, b.y_km] for b in scenario.beams])
-    threshold = ADJACENCY_FACTOR * scenario.config.beam_pitch_km
-    pairs = set()
-    clusters = scenario.clusters
-    for i in range(len(clusters)):
-        bi = np.array(clusters[i].beam_ids)
-        for j in range(i + 1, len(clusters)):
-            bj = np.array(clusters[j].beam_ids)
-            dists = np.hypot(
-                xy[bi, 0][:, None] - xy[bj, 0][None, :],
-                xy[bi, 1][:, None] - xy[bj, 1][None, :],
-            )
-            if float(dists.min()) < threshold:
-                pairs.add((i, j))
-    return frozenset(pairs)
+    offset = xy[:, None, :] - xy[None, :, :]
+    beam_dist = np.hypot(offset[..., 0], offset[..., 1])
+    groups = np.array([cluster.beam_ids for cluster in scenario.clusters])
+    closest = beam_dist[groups[:, None, :, None], groups[None, :, None, :]].min(axis=(2, 3))
+    close = np.triu(closest < ADJACENCY_FACTOR * scenario.config.beam_pitch_km, k=1)
+    return frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(close)))

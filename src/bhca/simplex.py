@@ -39,8 +39,6 @@ PIVOT_TOL = 1e-9
 RESIDUAL_TOL = 1e-7
 
 _SENSES = ("<=", ">=", "=")
-# Sense code after flipping a row's sign.
-_SWAP = np.array([1, 0, 2], dtype=np.int8)
 
 
 @dataclass

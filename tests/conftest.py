@@ -36,6 +36,24 @@ def desk_config(seed: int = 11, **overrides) -> SystemConfig:
     return SystemConfig(**base)
 
 
+def beam3_config(seed: int = 1, **overrides) -> SystemConfig:
+    """Clusters of 3 beams and 2 carriers: one beam of each has no carrier."""
+    base = dict(num_beams=9, num_clusters=3, beams_per_cluster=3, carriers_per_cluster=2,
+                active_clusters_per_slot=1, slots_per_window=3, users_per_beam=1,
+                num_transponders=8, rng_seed=seed)
+    base.update(overrides)
+    return SystemConfig(**base)
+
+
+def carrier3_config(seed: int = 1, **overrides) -> SystemConfig:
+    """Clusters of 2 beams and 3 carriers: one beam of each has two carriers."""
+    base = dict(num_beams=6, num_clusters=3, beams_per_cluster=2, carriers_per_cluster=3,
+                active_clusters_per_slot=2, slots_per_window=4, users_per_beam=1,
+                num_transponders=8, rng_seed=seed)
+    base.update(overrides)
+    return SystemConfig(**base)
+
+
 @pytest.fixture(scope="session")
 def modcod() -> ModcodTable:
     return ModcodTable.default()

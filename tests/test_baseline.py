@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,7 +13,7 @@ from bhca.linkbudget import compute_rate_table
 from bhca.scenario import SystemConfig, adjacency_pairs, generate_scenario
 from bhca.solver import SolverOptions
 
-from conftest import desk_config
+from conftest import beam3_config, carrier3_config, desk_config, tiny_config
 
 
 def test_equal_demands_split_slots_evenly():
@@ -69,21 +70,86 @@ def test_slot_conservation_per_cluster(modcod):
         assert np.all(plan.user_slots[l] >= 0)
 
 
-def test_supply_uses_exactly_the_own_beam_carrier(modcod):
-    scenario = generate_scenario(desk_config(6))
+@pytest.mark.parametrize("config, own_count", [
+    (desk_config(6), 1),
+    # Seed 19 gives slots to users on a beam without a carrier, where the
+    # rates of carriers 0 and 1 differ.
+    (beam3_config(19), 0),
+    # Seed 3 gives slots to users whose beam holds two carriers.
+    (carrier3_config(3), 2),
+], ids=["desk-6", "beam3-19", "carrier3-3"])
+def test_supply_uses_exactly_the_own_beam_carrier(modcod, config, own_count):
+    scenario = generate_scenario(config)
     rates = compute_rate_table(scenario, modcod)
     plan = solve_bh(scenario, rates, adjacency_pairs(scenario), SolverOptions(node_limit=300))
     R = rates.rate_per_slot
+    served = set()
     for cluster in scenario.clusters:
         l = cluster.id
-        users = scenario.users_of_cluster(l)
         carriers = scenario.carriers_of_cluster(l)
-        for ui, user in enumerate(users):
+        for ui, user in enumerate(scenario.users_of_cluster(l)):
             own = [ci for ci, c in enumerate(carriers) if c.beam_id == user.beam_id]
             ci = own[0] if own else 0
+            if plan.user_slots[l, ui]:
+                served.add(len(own))
             assert plan.user_supply[l, ui] == pytest.approx(
                 plan.user_slots[l, ui] * R[l, ci, ui], rel=1e-12
             )
+    # Some user with slots has ``own_count`` carriers on its beam.
+    assert own_count in served
+
+
+def _record_walk_capacity(scenario, rates):
+    """Each carrier's mean rate over its beam's users, or over the whole
+    cluster when its beam has none, summed per cluster, one record at a time."""
+    caps = np.zeros(scenario.config.num_clusters)
+    R = rates.rate_per_slot
+    for cluster in scenario.clusters:
+        users = scenario.users_of_cluster(cluster.id)
+        for ci, carrier in enumerate(scenario.carriers_of_cluster(cluster.id)):
+            own = [ui for ui, u in enumerate(users) if u.beam_id == carrier.beam_id]
+            pool = own if own else range(len(users))
+            caps[cluster.id] += float(np.mean([R[cluster.id, ci, ui] for ui in pool]))
+    return caps
+
+
+@pytest.mark.parametrize("make_config, empty_beams", [
+    (tiny_config, 22),
+    (carrier3_config, 40),
+], ids=["tiny", "carrier3"])
+def test_capacity_matches_record_walk_when_a_beam_is_empty(modcod, make_config, empty_beams):
+    empty = 0
+    for seed in range(1, 21):
+        scenario = generate_scenario(make_config(seed))
+        rates = compute_rate_table(scenario, modcod)
+        assert cluster_slot_capacity(scenario, rates).tobytes() == _record_walk_capacity(scenario, rates).tobytes()
+        user_beams = {u.beam_id for u in scenario.users}
+        empty += sum(c.beam_id not in user_beams for c in scenario.carriers)
+    assert empty == empty_beams
+
+
+# sha256 over seeds 1-20 of each shape: sinr_db, rate_per_slot, the cluster
+# capacities, the sorted adjacency pairs and the baseline's user_supply.
+OWN_BEAM_SHA256 = {
+    "beam3": "de35fda1284aed8a9ca8a782448c882f7d52ac85b3e01fbe50149333eae9e043",
+    "carrier3": "24510aee7df69e34b56fcdd79f7431da91222eb8b6d66d35b1e2f8447df25ffb",
+    "tiny": "64f3c6e0ff9d6453da516b074772f6cad655a96e7866e4714a1d17b93e0714ec",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(OWN_BEAM_SHA256))
+def test_own_beam_outputs_are_pinned(modcod, shape):
+    make_config = {"tiny": tiny_config, "beam3": beam3_config, "carrier3": carrier3_config}[shape]
+    digest = hashlib.sha256()
+    for seed in range(1, 21):
+        scenario = generate_scenario(make_config(seed))
+        rates = compute_rate_table(scenario, modcod)
+        pairs = adjacency_pairs(scenario)
+        plan = solve_bh(scenario, rates, pairs, SolverOptions(node_limit=300))
+        for arr in (rates.sinr_db, rates.rate_per_slot, cluster_slot_capacity(scenario, rates), plan.user_supply):
+            digest.update(arr.tobytes())
+        digest.update(repr(sorted(pairs)).encode())
+    assert digest.hexdigest() == OWN_BEAM_SHA256[shape]
 
 
 def _enumerate_best_min_ratio(scenario, rates, pairs):

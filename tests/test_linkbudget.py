@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from bhca.linkbudget import ModcodTable, compute_rate_table
+from bhca.linkbudget import BOLTZMANN_DB, ModcodTable, compute_rate_table
 from bhca.scenario import generate_scenario
 
-from conftest import desk_config, tiny_config
+from conftest import beam3_config, carrier3_config, desk_config, tiny_config
 
 
 def test_modcod_requires_strictly_increasing_rows():
@@ -107,6 +107,33 @@ def test_rate_table_deterministic(modcod):
     b = compute_rate_table(generate_scenario(cfg), modcod)
     assert np.array_equal(a.sinr_db, b.sinr_db)
     assert np.array_equal(a.rate_per_slot, b.rate_per_slot)
+
+
+def _record_walk_sinr(scenario):
+    """The link budget one (cluster, carrier, user) record at a time."""
+    cfg = scenario.config
+    beam_xy = {b.id: (b.x_km, b.y_km) for b in scenario.beams}
+    power = cfg.power_per_transponder - 10.0 * np.log10(cfg.carriers_per_transponder)
+    noise = BOLTZMANN_DB + 10.0 * np.log10(cfg.carrier_bandwidth)
+    r3 = cfg.beam_pitch_km / 2.0
+    sinr = np.empty((cfg.num_clusters, cfg.carriers_per_cluster, cfg.users_per_cluster))
+    for cluster in scenario.clusters:
+        for ci, carrier in enumerate(scenario.carriers_of_cluster(cluster.id)):
+            bx, by = beam_xy[carrier.beam_id]
+            for ui, user in enumerate(scenario.users_of_cluster(cluster.id)):
+                gain = cfg.tx_peak_gain_dbi - 3.0 * (np.hypot(user.x_km - bx, user.y_km - by) / r3) ** 2
+                sinr[cluster.id, ci, ui] = (
+                    power + gain + cfg.rx_gain_over_temp_db_per_k - cfg.path_loss_db - noise
+                )
+    return sinr
+
+
+@pytest.mark.parametrize("make_config", [tiny_config, desk_config, beam3_config, carrier3_config])
+def test_rate_table_matches_record_walk(modcod, make_config):
+    for seed in range(1, 6):
+        scenario = generate_scenario(make_config(seed))
+        rates = compute_rate_table(scenario, modcod)
+        assert rates.sinr_db.tobytes() == _record_walk_sinr(scenario).tobytes()
 
 
 def test_csv_loader_matches_default(tmp_path, modcod):

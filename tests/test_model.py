@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,27 @@ def test_empty_row_in_any_position_reads_zero(position):
     expected.insert(position, 0.0)
     assert model.row_values(x).tolist() == expected
     assert validate_solution(model, x).entries == (("empty", 1.0),)
+
+
+@pytest.mark.parametrize("sense", ["<==", ">=x", "=<", "==", "<", ""])
+def test_unknown_sense_is_refused_by_both_entry_points(sense):
+    # Senses used to be stored as two-character strings: "<==" read "<=".
+    with pytest.raises(ValueError, match=re.escape(f"block x has sense {sense!r}")):
+        RowBuilder().add("x", (), [0], 1.0, sense, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"block y has sense {sense!r}")):
+        RowBuilder().add("y", (("1", "2"),), [[0], [1]], 1.0, np.array([LESS, sense]), 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"row r1 has sense {sense!r}")):
+        ModelInstance.from_constraints(
+            _NamedColumns(), [LinearConstraint((0,), (1.0,), LESS, 1.0, "r0"),
+                              LinearConstraint((1,), (1.0,), sense, 1.0, "r1")],
+            objective=np.zeros(2), lower=np.zeros(2), upper=np.ones(2), binary=np.zeros(2, dtype=bool),
+        )
+
+
+def test_every_known_sense_is_kept():
+    rows = RowBuilder()
+    rows.add("x", (("1", "2", "3"),), [[0], [1], [0]], 1.0, [LESS, GREATER, EQUAL], 1.0)
+    assert rows.arrays()["senses"].tolist() == [LESS, GREATER, EQUAL]
 
 
 class _FakeSolution:

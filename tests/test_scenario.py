@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from bhca.cli import resolve_config_path
 from bhca.scenario import (
+    ADJACENCY_FACTOR,
     Beam,
     Cluster,
     ConfigError,
@@ -18,7 +20,7 @@ from bhca.scenario import (
     load_config,
 )
 
-from conftest import tiny_config, desk_config
+from conftest import beam3_config, carrier3_config, desk_config, tiny_config
 
 
 def test_seeded_generation_is_byte_identical():
@@ -157,6 +159,27 @@ SIXTEEN_BEAM_ADJACENCY = [
 def test_adjacency_sixteen_beam_fixture():
     scenario = generate_scenario(SystemConfig(rng_seed=1))
     assert sorted(adjacency_pairs(scenario)) == SIXTEEN_BEAM_ADJACENCY
+
+
+def _record_walk_pairs(scenario):
+    """Cluster pairs whose closest beams sit within the radius, pair by pair."""
+    xy = {b.id: (b.x_km, b.y_km) for b in scenario.beams}
+    threshold = ADJACENCY_FACTOR * scenario.config.beam_pitch_km
+    return {
+        (a.id, b.id)
+        for a, b in itertools.combinations(scenario.clusters, 2)
+        if min(math.hypot(xy[i][0] - xy[j][0], xy[i][1] - xy[j][1])
+               for i in a.beam_ids for j in b.beam_ids) < threshold
+    }
+
+
+@pytest.mark.parametrize("config", [
+    tiny_config(), desk_config(), beam3_config(), carrier3_config(), SystemConfig(),
+    SystemConfig(num_beams=18, num_clusters=6, beams_per_cluster=3),
+])
+def test_adjacency_matches_record_walk(config):
+    scenario = generate_scenario(config)
+    assert adjacency_pairs(scenario) == _record_walk_pairs(scenario)
 
 
 def test_users_inside_cluster_footprint():
