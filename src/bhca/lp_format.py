@@ -4,20 +4,28 @@ The writer is byte-stable for a fixed model: fixed section order
 (Maximize / Subject To / Bounds / Binaries / End), constraint names taken
 from the row tags, coefficients rendered with ``repr`` so parsing recovers
 them exactly, and long rows folded at a fixed width. The Subject To
-section is rendered one run of rows at a time (``EXPORT_RUN_TERMS``), so
-its working memory is set by the run size, not by the model: the table2
-export peaks at about 2.4 times its own text. The run size never changes
-the bytes. The reader accepts only the constructs the writer emits.
+section is rendered in pieces of at most one run's weight
+(``EXPORT_RUN_TERMS``), so its working memory is set by the run size, not
+by the model: the table2 export peaks at about 2.4 times its own text. A
+block of ``GridNames`` rows heavier than one run whose rows differ only in
+tag and columns, and are too narrow to fold, is rendered from one template
+(the four C9 blocks of a full-scale model); every other row is rendered a
+run at a time and folded after its line end is found in the run's text.
+Neither the run size nor the path changes the bytes. The writer refuses a
+name the reader would not read back: one holding whitespace or a ``\\``,
+or a column name that reads as a number, sign, sense or row start. The
+reader accepts only the constructs the writer emits.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SENSES, ModelInstance
+from .model import SENSES, GridNames, ModelInstance, label_product
 
 _FOLD_WIDTH = 220
 # Largest weight of one Subject To run, a row weighing its terms plus one;
@@ -54,7 +62,8 @@ def _find(text: str, char: str) -> np.ndarray:
 
 
 def _interleave(*columns) -> str:
-    """``columns[0][0] + columns[1][0] + ... + columns[0][1] + ...`` in one join."""
+    """``columns[0][0] + columns[1][0] + ... + columns[0][1] + ...`` in one join;
+    a ``str`` column repeats on every line."""
     pieces = np.empty((len(columns[0]), len(columns)), dtype=object)
     for k, column in enumerate(columns):
         pieces[:, k] = column
@@ -103,10 +112,96 @@ def _runs(indptr: np.ndarray):
 
 
 def _rows_text(model: ModelInstance, names: np.ndarray) -> list[str]:
-    """The Subject To lines, one string per run of rows from ``_runs``. Only
-    the run texts outlive their run, so the run size sets the memory."""
-    tags = iter(model.tags)
-    return [_run_text(model, names, tags, r0, r1) for r0, r1 in _runs(model.indptr)]
+    """The Subject To lines, one string per run of rows from ``_runs`` or
+    per chunk of a templated block. Only these texts outlive their rows, so
+    the run size sets the memory.
+
+    A block of ``GridNames`` tags heavier than one run whose rows share a
+    template (``_template``) is rendered from it (``_block_text``); all
+    other rows, and every row of a model whose tags are no ``GridNames``,
+    are rendered a run at a time (``_run_text``).
+    """
+    # No block is heavier than a run when the whole model is not.
+    if not isinstance(model.tags, GridNames) or model.indptr[-1] + model.num_rows <= EXPORT_RUN_TERMS:
+        return _span_text(model, names, iter(model.tags), 0, model.num_rows)
+    blocks = model.tags.blocks()
+    bounds = np.array([start for start, _, _, _ in blocks] + [model.num_rows], dtype=np.int64)
+    heavy = np.flatnonzero(np.diff(model.indptr[bounds] + bounds) > EXPORT_RUN_TERMS).tolist()
+    name_width = max(map(len, names.tolist()), default=0) if heavy else 0
+    out, done = [], 0
+    for start, stop, head, axes in (blocks[b] for b in heavy):
+        template = _template(model, start, stop, head, axes, name_width)
+        if template is not None:
+            out += _light_text(model, names, blocks, done, start)
+            out += _block_text(model, names, start, stop, head, axes, *template)
+            done = stop
+    return out + _light_text(model, names, blocks, done, model.num_rows)
+
+
+def _light_text(model, names, blocks, s0: int, s1: int) -> list[str]:
+    """``_span_text`` of rows ``[s0, s1)``, which whole ``GridNames`` blocks cover."""
+    tags = itertools.chain.from_iterable(
+        label_product(head, axes).tolist() for start, _, head, axes in blocks if s0 <= start < s1
+    )
+    return _span_text(model, names, tags, s0, s1)
+
+
+def _span_text(model, names, tags, s0: int, s1: int) -> list[str]:
+    """``_run_text`` of each run of rows ``[s0, s1)``; ``tags`` yields their tags."""
+    return [_run_text(model, names, tags, s0 + r0, s0 + r1) for r0, r1 in _runs(model.indptr[s0:s1 + 1])]
+
+
+def _template(model, start: int, stop: int, head: str, axes, name_width: int):
+    """``(pieces, tail)`` shared by every row of ``[start, stop)``: each
+    term's coefficient piece and the ``" <sense> <rhs>\\n"`` line end; None
+    when the rows differ in term count, coefficients, sense or rhs, or when
+    a row could be wider than ``_FOLD_WIDTH`` with names up to ``name_width``
+    characters wide."""
+    ptr = model.indptr[start:stop + 1]
+    a, b = int(ptr[0]), int(ptr[-1])
+    k = (b - a) // (stop - start)
+    if (np.diff(ptr) != k).any():
+        return None
+    coefs = model.coefs[a:b].reshape(stop - start, k)
+    senses, rhs = model.senses[start:stop], model.rhs[start:stop]
+    if (coefs != coefs[0]).any() or (senses != senses[0]).any() or (rhs != rhs[0]).any():
+        return None
+    pieces = [_signed(v) for v in coefs[0].tolist()]
+    tail = f" {senses[0]} {_num(rhs[0])}\n"
+    tag_width = len(head) + sum(1 + max(map(len, axis)) for axis in axes)
+    # " tag:", the terms and the tail without its line break.
+    width = tag_width + sum(map(len, pieces)) + k * name_width + len(tail) + 1
+    return (pieces, tail) if width <= _FOLD_WIDTH else None
+
+
+def _block_text(model, names, start: int, stop: int, head: str, axes, pieces, tail) -> list[str]:
+    """Subject To lines of the block ``[start, stop)`` named ``head`` over
+    ``axes``, whose rows share ``pieces`` and ``tail`` (``_template``), one
+    string per chunk of rows weighing at most one run.
+
+    A row joins the pieces ``" <head>_<label>..."``, ``"_<last label>:<first
+    piece>"``, the first column's name, each later term's piece and name,
+    and ``tail``. All are gathered or repeated, none is built per row: the
+    first piece is appended to the last axis's labels.
+    """
+    if _flaw(head + "".join(itertools.chain.from_iterable(axes))):
+        _check_one_token("row", label_product(head, axes).tolist())
+    k, m = len(pieces), stop - start
+    end = ":" + (pieces[0] if k else "")
+    outer = label_product(" " + head, axes[:-1])
+    ends = np.array([f"_{label}{end}" for label in axes[-1]] if axes else [end], dtype=object)
+    a = int(model.indptr[start])
+    cols = model.cols[a:a + m * k].reshape(m, k)
+    texts, step = [], max(1, EXPORT_RUN_TERMS // (k + 1))
+    for i0 in range(0, m, step):
+        rows = np.arange(i0, min(i0 + step, m))
+        columns = [outer[rows // ends.size], ends[rows % ends.size]]
+        for j in range(k):
+            if j:
+                columns.append(pieces[j])
+            columns.append(names[cols[i0:i0 + step, j]])
+        texts.append(_interleave(*columns, tail))
+    return texts
 
 
 def _run_text(model, names, tags, r0: int, r1: int) -> str:
@@ -164,23 +259,77 @@ def _holds_whitespace(text: str) -> bool:
     return bool(text) and text.split(maxsplit=1) != [text]
 
 
+def _flaw(name: str) -> str | None:
+    """What in ``name`` ``parse_lp`` would cut at or drop, or None: it reads
+    lines with ``str.splitlines``, tokens with ``str.split``, and drops each
+    line from its first ``\\`` on."""
+    if "\\" in name:
+        return "a backslash, which starts a comment"
+    if _holds_whitespace(name):
+        return "whitespace" if name.splitlines() == [name] else "a line break"
+    return None
+
+
 def _check_one_token(kind: str, names: list[str]) -> None:
-    """Raise ``ValueError`` naming the first of ``names`` that holds
-    whitespace: ``parse_lp`` reads lines with ``str.splitlines`` and tokens
-    with ``str.split``, so every name must be one token on one line. The
-    names are checked as one joined text, and one by one only on a hit."""
-    if _holds_whitespace("".join(names)):
-        name = next(n for n in names if _holds_whitespace(n))
-        what = "whitespace" if name.splitlines() == [name] else "a line break"
-        raise ValueError(f"{kind} {name!r} holds {what}; the LP format writes every name as one token on one line")
+    """Raise ``ValueError`` naming the first of ``names`` with a ``_flaw``:
+    every name must be one token on one line, outside any comment. The names
+    are checked as one joined text, and one by one only on a hit."""
+    if _flaw("".join(names)):
+        name = next(n for n in names if _flaw(n))
+        raise ValueError(
+            f"{kind} {name!r} holds {_flaw(name)}; the LP format writes every name as one token on "
+            "one line, outside any comment"
+        )
+
+
+# A line of "\n".join(["", *names, ""]) that starts so, or ends in ":", may
+# hold a name parse_lp misreads (``_misread``): a number, as float() reads
+# it, starts with a sign, a point, a decimal digit, "i" or "n" (inf, nan).
+_MISREAD_LEAD = re.compile(r"\n(?=[-+.<>=\d\niInN])")
+
+
+def _misread(name: str) -> str | None:
+    """How ``parse_lp`` would misread the column name ``name``, or None."""
+    if name in ("+", "-"):
+        return "a sign"
+    if name in SENSES:
+        return "a sense"
+    if not name:
+        return "nothing"
+    if name.endswith(":"):
+        return "the start of a row"
+    try:
+        float(name)
+    except ValueError:
+        return None
+    return "a number"
+
+
+def _check_column_tokens(names: list[str]) -> None:
+    """Raise ``ValueError`` naming the first of ``names``, one token each,
+    that ``parse_lp`` would not read back as a column name. The names are
+    scanned as one joined text; only the lines it flags are read one by one."""
+    text = "\n".join(["", *names, ""])
+    starts = [hit.end() for hit in _MISREAD_LEAD.finditer(text)]
+    if ":\n" in text:
+        starts = sorted(starts + [text.rindex("\n", 0, hit.start()) + 1 for hit in re.finditer(":\n", text)])
+    for at in starts:
+        name = text[at:text.index("\n", at)]
+        why = _misread(name)
+        if why:
+            raise ValueError(f"column {name!r} reads as {why} in the LP format, not as a name")
 
 
 def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first column or row holding a name or
-    number the dialect cannot carry: a name holds no whitespace (``_run_text``
-    checks the tags), it has no free or ``-inf`` bound form, a row's sense is
-    one of ``<=``, ``>=`` and ``=``, and a coefficient or rhs must be finite."""
-    _check_one_token("column", names.tolist())
+    number the dialect cannot carry: a name is one token (``_check_one_token``;
+    ``_rows_text`` checks the tags) and a column name reads as a name, not as
+    a number, sign, sense or row start; a column has no free or ``-inf``
+    bound form, a row's sense is one of ``<=``, ``>=`` and ``=``, and a
+    coefficient or rhs must be finite."""
+    listed = names.tolist()
+    _check_one_token("column", listed)
+    _check_column_tokens(listed)
     bad = ~np.isfinite(model.lower) | ~(model.upper > -np.inf) | ~np.isfinite(model.objective)
     if bad.any():
         j = int(bad.argmax())

@@ -125,7 +125,7 @@ def index_labels(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{k + 1}" for k in range(n))
 
 
-def _label_product(head: str, axes) -> np.ndarray:
+def label_product(head: str, axes) -> np.ndarray:
     """``head_<label>_<label>...`` for every cell of the grid spanned by
     ``axes`` (tuples of labels), in row-major order, as an object array.
 
@@ -158,7 +158,8 @@ class GridNames(Sequence):
     strings, and a block without axes is one entry named ``head``. Names are
     built only when read: one at a time by index, a block at a time by
     iteration. ``grids`` gives each block's entry indices, so a layout
-    declared as names needs no offsets of its own.
+    declared as names needs no offsets of its own; ``blocks`` walks the
+    blocks with their entry ranges.
     """
 
     def __init__(self, blocks):
@@ -169,6 +170,12 @@ class GridNames(Sequence):
     def grids(self) -> list:
         """Each block's entry indices, shaped by its axes (see ``block_grids``)."""
         return block_grids(tuple(len(axis) for axis in axes) for _, axes in self._blocks)
+
+    def blocks(self) -> list:
+        """``(start, stop, head, axes)`` of each block, in order: the block
+        names entries ``start`` to ``stop - 1``, as ``label_product(head, axes)``."""
+        bounds = self._starts.tolist()
+        return [(a, b, head, axes) for (head, axes), a, b in zip(self._blocks, bounds, bounds[1:])]
 
     def __len__(self) -> int:
         return int(self._starts[-1])
@@ -186,7 +193,7 @@ class GridNames(Sequence):
 
     def __iter__(self):
         return itertools.chain.from_iterable(
-            _label_product(head, axes).tolist() for head, axes in self._blocks
+            label_product(head, axes).tolist() for head, axes in self._blocks
         )
 
 
@@ -211,7 +218,7 @@ class RowBuilder:
             raise ValueError(f"block {family} has sense {min(unknown)!r}; expected one of {SENSES}")
         shape = tuple(len(axis) for axis in axes)
         terms = shape + np.shape(cols)[-1:]
-        cols = _filled(terms, np.int64, cols).reshape(-1, terms[-1])
+        cols = _filled(terms, np.int64, cols).reshape(math.prod(shape), terms[-1])
         coefs = _filled(terms, float, coefs).reshape(cols.shape)
         keep = coefs != 0.0
         self.counts.append(keep.sum(axis=1))

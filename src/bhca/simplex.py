@@ -24,9 +24,9 @@ The batch path works in place. Finished LPs leave the pivoting prefix of
 the batch axis by trading slots, and the rank-1 update goes through one
 reused buffer a quarter the size of the tableaux. The set-up allocates no
 other ``(B, m, N)`` array, so while pivoting a batch holds about 1.25 times
-its tableaux, plus ``(B, N)`` and ``(B, m)`` rows. A batch that runs phase 1
-copies its tableaux once more at the phase change, to put them back in LP
-order.
+its tableaux, plus ``(B, N)`` and ``(B, m)`` rows. At the phase change the
+tableaux go back to LP order in place, through one spare tableau, so phase 1
+needs no more memory than phase 2.
 """
 from __future__ import annotations
 
@@ -417,8 +417,28 @@ def _iterate_batch(tab: _Tableaux, lps: np.ndarray, phase: int) -> None:
     # Send every LP back to its own slot. Phase 2 starts from the phase-1
     # tableaux, but the finish reads none.
     moved = (slot_lp != np.arange(slot_lp.size)).nonzero()[0]
-    for arr in (T_all, *small) if phase == 1 else small:
+    for arr in small:
         arr[slot_lp[moved]] = arr[moved]
+    if phase == 1:
+        _unshuffle(T_all, slot_lp)
+
+
+def _unshuffle(T, slot_lp) -> None:
+    """Move the tableau in each slot ``s`` of ``T`` to slot ``slot_lp[s]``, in
+    place: a cycle of the permutation at a time, through one spare tableau."""
+    lp_slot = np.argsort(slot_lp).tolist()
+    settled = (slot_lp == np.arange(slot_lp.size)).tolist()
+    for start in range(len(settled)):
+        if settled[start]:
+            continue
+        spare = T[start].copy()
+        dst, src = start, lp_slot[start]
+        while src != start:
+            T[dst] = T[src]
+            settled[dst] = True
+            dst, src = src, lp_slot[src]
+        T[dst] = spare
+        settled[dst] = True
 
 
 def _ratio_test(rhs, col, basis, ub, t_best):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from bhca.cli import resolve_config_path
 from bhca.lp_format import ParsedLp, export_lp, model_canonical_rows, parse_lp, round_trip_matches
 from bhca.baseline import build_bh_model
 from bhca.linkbudget import compute_rate_table
-from bhca.model import EQUAL, GREATER, LESS, LinearConstraint, ModelInstance
+from bhca.model import EQUAL, GREATER, LESS, LinearConstraint, ModelInstance, RowBuilder
 from bhca.scenario import adjacency_pairs, generate_scenario, load_config
 from bhca.solver import solve_lp
 
@@ -382,6 +383,69 @@ def test_run_size_never_changes_the_bytes(monkeypatch, desk_seed1_models, run_te
     assert [export_lp(m) for m in models] == want
 
 
+def _block_model():
+    """A ``RowBuilder`` model of uniform blocks, blocks that are not quite
+    uniform, and blocks that are empty, wide or without axes, over non-ASCII
+    column names of four characters, some outside the Basic Multilingual Plane."""
+    n = 24
+    names = [f"{'xβ𝛽'[j % 3]}{j:03d}" for j in range(n)]
+    grid = np.arange(n).reshape(2, 3, 4)
+    ls, cs, ts = ("1", "2"), ("é", "𝛽", "c"), ("1", "2", "3", "4")
+    rows = RowBuilder()
+    rows.add("A", (ls, cs, ts), grid[..., None], 1.0, GREATER, 0.0)
+    rows.add("B", (ls, cs, ts), np.stack([grid, np.broadcast_to(grid[::-1, :1], grid.shape)], -1),
+             [1.0, -1.0], LESS, 0.0)
+    rows.add("Cé", (ls, cs, ts), np.stack([grid, grid[::-1], (grid + 1) % n], -1),
+             [0.1, -1e15, 2.5], EQUAL, -7.25)
+    rows.add("E", (ls, cs), np.zeros((2, 3, 0), dtype=np.int64), 1.0, LESS, 1.0)
+    rows.add("Z", (("z z",), ()), np.zeros((1, 0, 1), dtype=np.int64), 1.0, LESS, 1.0)
+    rows.add("N", (), [0, n - 1], [2.0, -0.5], GREATER, 1e16)
+    rows.add("W" * 193, (ls,), grid[:, :2, 0], 1.0, LESS, 1.0)   # widest row: 220 characters
+    rows.add("V" * 194, (ls,), grid[:, :2, 0], 1.0, LESS, 1.0)   # 221: folds
+    rows.add("Y" * 300, (ls, ts), grid[0, :, :].T[None], -1.0, LESS, 3.0)
+    coefs = np.ones((2, 3, 4, 2))
+    coefs[1, 2, 3, 1] = 0.0
+    rows.add("L", (ls, cs, ts), np.stack([grid, (grid + 1) % n], -1), coefs, LESS, 1.0)  # one row lost a term
+    coefs[1, 2, 3, 1] = 2.0
+    rows.add("K", (ls, cs, ts), np.stack([grid, grid + 1], -1) % n, coefs, LESS, 1.0)
+    senses = np.full((2, 3, 4), LESS)
+    senses[0, 1, 2] = GREATER
+    rows.add("S", (ls, cs, ts), np.stack([grid, grid + 1], -1) % n, 1.0, senses, 1.0)
+    rhs = np.ones((2, 3, 4))
+    rhs[1, 0, 0] = 1.5
+    rows.add("R", (ls, cs, ts), np.stack([grid, grid + 1], -1) % n, 1.0, LESS, rhs)
+    lower, upper = np.zeros(n), np.ones(n)
+    upper[20:] = [2.0, np.inf, 7.5, np.inf]
+    return ModelInstance(
+        catalog=_Columns(names), **rows.arrays(), objective=np.linspace(-3.0, 3.0, n),
+        lower=lower, upper=upper, binary=np.arange(n) < 20,
+    )
+
+
+@pytest.mark.parametrize("run_terms", [1, 3, 8, 40])
+def test_templated_blocks_match_the_run_path(monkeypatch, run_terms):
+    model = _block_model()
+    monkeypatch.setattr(lp_format, "EXPORT_RUN_TERMS", 10**9)
+    want = export_lp(model)
+    templated = []
+    block_text = lp_format._block_text
+
+    def spy(model, names, start, stop, head, *rest):
+        templated.append(head)
+        return block_text(model, names, start, stop, head, *rest)
+
+    monkeypatch.setattr(lp_format, "_block_text", spy)
+    monkeypatch.setattr(lp_format, "EXPORT_RUN_TERMS", run_terms)
+    assert export_lp(model) == want
+    assert {"A", "B", "Cé"} <= set(templated) <= {"A", "B", "Cé", "E", "N", "W" * 193}
+    assert ("W" * 193 in templated) == (run_terms < 6)
+    lines = want.splitlines()
+    assert [len(line) for line in lines if line.startswith(" W")] == [220, 220]
+    assert [line.endswith(" <=") for line in lines if line.startswith(" V")] == [True, True]
+    assert " E_1_é: <= 1" in lines and " N: + 2 x000 - 0.5 𝛽023 >= 1e+16" in lines
+    assert round_trip_matches(model, parse_lp(want))
+
+
 def test_export_memory_stays_near_its_text(modcod):
     # Rendering the whole Subject To section in one gather peaked at 6.5
     # times the text on this model; runs of rows bring it to about 2.4.
@@ -423,13 +487,76 @@ def _two_column_model(lower=(0.0, 0.0), upper=(np.inf, 1.0), objective=(1.0, 1.0
     (dict(names=("u", "v\t1")), r"column 'v\\t1' holds whitespace"),
     (dict(names=("u", "v\x0c1")), r"column 'v\\x0c1' holds a line break"),
     (dict(names=("u", "v\u20281")), r"column 'v\\u20281' holds a line break"),
+    (dict(tag="r\\1"), re.escape("row 'r\\\\1' holds a backslash")),
+    (dict(names=("u", "v\\1")), re.escape("column 'v\\\\1' holds a backslash")),
+    (dict(names=("u", "3")), "column '3' reads as a number"),
+    (dict(names=("inf", "v")), "column 'inf' reads as a number"),
+    (dict(names=("u", "nan")), "column 'nan' reads as a number"),
+    (dict(names=("u", "1_0")), "column '1_0' reads as a number"),
+    (dict(names=("u", "-2.5E+3")), re.escape("column '-2.5E+3' reads as a number")),
+    (dict(names=("u", "\u0663")), "column '\u0663' reads as a number"),
+    (dict(names=("u", "+")), re.escape("column '+' reads as a sign")),
+    (dict(names=("-", "v")), "column '-' reads as a sign"),
+    (dict(names=("u", "<=")), "column '<=' reads as a sense"),
+    (dict(names=("u", ">=")), "column '>=' reads as a sense"),
+    (dict(names=("u", "=")), "column '=' reads as a sense"),
+    (dict(names=("u", "v:")), "column 'v:' reads as the start of a row"),
+    (dict(names=("u", "")), "column '' reads as nothing"),
 ], ids=["free-lower", "nan-upper", "minus-inf-upper", "inf-objective", "nan-coef", "inf-rhs", "unknown-sense",
         "line-break-row", "carriage-return-row", "line-break-column", "space-row", "tab-row", "form-feed-row",
-        "line-separator-row", "space-column", "tab-column", "form-feed-column", "line-separator-column"])
+        "line-separator-row", "space-column", "tab-column", "form-feed-column", "line-separator-column",
+        "backslash-row", "backslash-column", "integer-column", "inf-column", "nan-column", "underscore-column",
+        "exponent-column", "arabic-digit-column", "plus-column", "minus-column", "less-column", "greater-column",
+        "equal-column", "colon-column", "empty-column"])
 def test_export_names_what_the_format_cannot_carry(change, match):
-    # These used to raise OverflowError or "cannot convert float NaN to integer".
+    # These used to raise OverflowError or "cannot convert float NaN to integer",
+    # or, from the backslash on, wrote an export parse_lp could not read back.
     with pytest.raises(ValueError, match=match):
         export_lp(_two_column_model(**change))
+
+
+def test_names_that_only_look_like_numbers_round_trip():
+    names = ["e", "1e", "E5x", "inf_1", "infinit", "nan1", "n", "i", "+x", "-1x", ".x", "1_", "_1",
+             "1__0", "x:y", ":x", "<", "=>", "x1"]
+    model = ModelInstance.from_constraints(
+        _Columns(names), [LinearConstraint(tuple(range(len(names))), (1.0,) * len(names), LESS, 1.0, "r")],
+        objective=np.ones(len(names)), lower=np.zeros(len(names)), upper=np.full(len(names), 2.0),
+        binary=np.zeros(len(names), dtype=bool),
+    )
+    assert round_trip_matches(model, parse_lp(export_lp(model)))
+
+
+@pytest.mark.parametrize("text", ["0", "1.", ".5", "1e5", "1E-5", "+1", "-0.0", "1_000", "1e1_0", "Infinity",
+                                  "-INF", "+nan", "NaN", "\u0661\u0662", "\uff11.\uff15"])
+def test_every_name_float_reads_is_refused(text):
+    float(text)
+    for names in ((text, "v"), ("u", text)):
+        with pytest.raises(ValueError, match="reads as a number"):
+            export_lp(_two_column_model(names=names))
+
+
+@pytest.mark.parametrize("run_terms", [1, lp_format.EXPORT_RUN_TERMS])
+@pytest.mark.parametrize("head, labels, tag, what", [
+    ("R", ("u0", "u 1"), "R_x1_u 1", "whitespace"),
+    ("R", ("u0", "u\n1"), "R_x1_u\n1", "a line break"),
+    ("R 1", ("u0", "u1"), "R 1_x1_u0", "whitespace"),
+    ("R", ("u\\0", "u1"), "R_x1_u\\0", "a backslash"),
+], ids=["space-label", "line-break-label", "space-head", "backslash-label"])
+def test_grid_tags_are_refused_by_their_first_row(monkeypatch, run_terms, head, labels, tag, what):
+    # Rows of a templated block (run_terms 1) are checked through the
+    # block's head and labels, other rows one tag at a time; both name the
+    # first row that carries the character.
+    rows = RowBuilder()
+    rows.add("Z", (("z z",), ()), np.zeros((1, 0, 1), dtype=np.int64), 1.0, LESS, 1.0)  # no row, no tag
+    rows.add("A", (("1", "2"),), np.array([[0], [1]]), 1.0, LESS, 1.0)
+    rows.add(head, (("x1", "x2"), labels), np.zeros((2, 2, 1), dtype=np.int64), 1.0, LESS, 1.0)
+    model = ModelInstance(
+        catalog=_Columns(["u", "v"]), **rows.arrays(), objective=np.ones(2), lower=np.zeros(2),
+        upper=np.ones(2), binary=np.zeros(2, dtype=bool),
+    )
+    monkeypatch.setattr(lp_format, "EXPORT_RUN_TERMS", run_terms)
+    with pytest.raises(ValueError, match=re.escape(f"row {tag!r} holds {what}")):
+        export_lp(model)
 
 
 def test_every_character_the_parser_splits_at_is_refused():

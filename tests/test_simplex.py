@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bhca import simplex
 from bhca.simplex import solve_dense, solve_dense_batch
 
 INF = float("inf")
@@ -264,6 +267,33 @@ def test_large_batch_equals_single_bit_for_bit():
     assert min(statuses.count(status) for status in ("optimal", "infeasible", "unbounded")) >= 30
     assert [s.iterations == 0 for s in sols] == crossed.tolist()
     assert len({s.iterations for s in sols}) >= 8
+
+
+def test_phase_one_needs_no_more_memory_than_phase_two(monkeypatch):
+    # 300 LPs of 20 rows, 10 of them >= rows that need artificials, over 30
+    # columns. Putting the phase-1 tableaux back in LP order by copying the
+    # moved ones made phase 1 peak at 1.84 times the tableaux, phase 2 at 1.65.
+    rng = np.random.default_rng(5)
+    m, n, B = 20, 30, 300
+    A = rng.uniform(0.1, 1.0, (m, n))
+    senses, b = ["<="] * 10 + [">="] * 10, np.repeat([20.0, 1.0], 10)
+    uppers = rng.uniform(0.5, 2.0, (B, n))
+    iterate, peaks = simplex._iterate_batch, {}
+
+    def traced(tab, lps, phase):
+        tracemalloc.reset_peak()
+        iterate(tab, lps, phase)
+        peaks[phase] = tracemalloc.get_traced_memory()[1] / tab.T.nbytes
+
+    monkeypatch.setattr(simplex, "_iterate_batch", traced)
+    tracemalloc.start()
+    try:
+        sols = solve_dense_batch(rng.uniform(-1.0, 1.0, n), A, senses, b, np.zeros((B, n)), uppers)
+    finally:
+        tracemalloc.stop()
+    assert {s.status for s in sols} == {"optimal"}
+    assert len({s.iterations for s in sols}) >= 8  # members finish apart, so slots trade
+    assert peaks[1] <= peaks[2] < 2.0
 
 
 _VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.25, 1.0, 1.5, 3.0])
