@@ -3,9 +3,16 @@
 
 For a handful of seeded 12-binary instances, solves the joint model by slot
 counts (``solve_milp``), by plain branch-and-bound on the published model,
-and by exhaustive enumeration, and shows that all three land on the same
-optimum. The count route needs a handful of LPs; branch-and-bound and
-enumeration need many more.
+and by enumeration (``brute_force``), and shows that all three land on the
+same optimum. The count route needs a handful of LPs; branch-and-bound
+needs many more.
+
+The oracle settles every (slot-count vector, carrier assignment) pair, and
+its ``nodes_explored`` (the "patterns" column) counts them all. It solves
+only the pairs whose assignment LP can still win: an upper bound on each
+LP's objective, with every assigned fill at its cap 1 and widened by the
+row violation the simplex accepts, proves the others report less than an
+LP already solved. Its plan is therefore the plan of solving every pair.
 """
 from bhca import (
     ModcodTable,

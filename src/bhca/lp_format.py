@@ -320,16 +320,51 @@ def _check_column_tokens(names: list[str]) -> None:
             raise ValueError(f"column {name!r} reads as {why} in the LP format, not as a name")
 
 
+def _grid_names_distinct(names: GridNames) -> bool:
+    """Whether the heads and labels of ``names`` prove every name distinct,
+    without rendering one: the heads differ and hold no ``_``, and each
+    axis's labels differ and hold equally many ``_``. Split at its ``_``, a
+    name then starts with its block's head, and each axis's label fills the
+    same places in every name of the block."""
+    blocks = names.blocks()
+    heads = [head for _, _, head, _ in blocks]
+    axes = [axis for _, _, _, block_axes in blocks for axis in block_axes]
+    return (len(set(heads)) == len(heads) and "_" not in "".join(heads)
+            and all(len(set(axis)) == len(axis) and len({label.count("_") for label in axis}) <= 1
+                    for axis in axes))
+
+
+def _check_distinct(kind: str, names) -> None:
+    """Raise ``ValueError`` naming the first name ``names`` holds twice:
+    ``parse_lp`` refuses a second row or bounds line of one name, and merges
+    the terms of a repeated column. A ``GridNames`` is rendered only when its
+    heads and labels cannot prove it distinct (``_grid_names_distinct``)."""
+    if isinstance(names, GridNames) and _grid_names_distinct(names):
+        return
+    listed = list(names)
+    if len(set(listed)) == len(listed):
+        return
+    seen = set()
+    for name in listed:
+        if name in seen:
+            raise ValueError(f"{kind} {name!r} appears twice; the LP format names every {kind} once")
+        seen.add(name)
+
+
 def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first column or row holding a name or
     number the dialect cannot carry: a name is one token (``_check_one_token``;
-    ``_rows_text`` checks the tags) and a column name reads as a name, not as
-    a number, sign, sense or row start; a column has no free or ``-inf``
-    bound form, a row's sense is one of ``<=``, ``>=`` and ``=``, and a
+    ``_rows_text`` checks the tags), appears once among the columns or the
+    rows (``_check_distinct``), and a column name reads as a name, not as a
+    number, sign, sense or row start; a column has no free or ``-inf`` bound
+    form, a row's sense is one of ``<=``, ``>=`` and ``=``, and a
     coefficient or rhs must be finite."""
     listed = names.tolist()
     _check_one_token("column", listed)
     _check_column_tokens(listed)
+    catalog_names = model.catalog.names
+    _check_distinct("column", catalog_names if isinstance(catalog_names, GridNames) else listed)
+    _check_distinct("row", model.tags)
     bad = ~np.isfinite(model.lower) | ~(model.upper > -np.inf) | ~np.isfinite(model.objective)
     if bad.any():
         j = int(bad.argmax())

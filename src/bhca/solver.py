@@ -27,6 +27,13 @@ before each one. ``branch_and_bound`` is a plain best-bound integer search
 over a model's full dense LP; the count route runs its sub-problems through
 the same search, and tests use it on the published models as an
 independent cross-check.
+
+``brute_force``, the other cross-check, settles every (slot-count vector,
+carrier assignment) pair of a tiny joint model. An upper bound on each
+pair's LP objective, from the inner rows with every assigned fill at its
+cap 1 and each row widened by the violation the simplex accepts, lets it
+solve only the LPs that can still win; its plan is byte-identical to
+solving all of them, and ``nodes_explored`` counts every pair it settled.
 """
 from __future__ import annotations
 
@@ -39,7 +46,7 @@ import numpy as np
 
 from .model import (EQUAL, GREATER, LESS, BaselineCatalog, ModelInstance, RowBuilder, VariableCatalog,
                     block_grids, chain_terms, index_labels, stack_terms)
-from .simplex import LpSolution, solve_dense, solve_dense_batch
+from .simplex import RESIDUAL_TOL, LpSolution, solve_dense, solve_dense_batch
 
 # An integer column within this distance of an integer counts as integral,
 # and a gap this small counts as closed.
@@ -508,14 +515,28 @@ ORACLE_BATCH_BYTES = 1024 * 1024
 def brute_force(model: ModelInstance) -> MilpSolution:
     """Enumeration oracle for tiny planner models.
 
-    Enumerates every (assignment, illumination) pattern that passes the cheap
-    carrier-count / activation-cap / adjacency filters, solves the continuous
-    (fill-rate, floors) LP for each, and returns the best. Illumination
-    patterns with equal per-cluster slot counts share one set of LPs, which
-    differ only in their bounds. Each slot-count vector's LPs go to
-    ``solve_dense_batch`` in chunks of at most ``ORACLE_BATCH_BYTES`` of
-    tableau; on tiny models that is one batch per vector. Exact up to LP
-    tolerance; refuses models with more than 24 binaries.
+    Settles every (assignment, illumination) pattern that passes the cheap
+    carrier-count / activation-cap / adjacency filters and returns the best
+    one: the inner (fill-rate, floors) LP of each pattern is either solved or
+    proven unable to win by an upper bound. Illumination patterns with equal
+    per-cluster slot counts share one set of LPs, which differ only in their
+    bounds, so a pair (slot-count vector, carrier assignment) is one LP.
+
+    The bound holds every assigned fill at its cap 1: C4 gives
+    ``tU_l <= n_l min_u sum_{c in S_lu} user_coef``, C5 with C2 gives
+    ``tL <= min_l n_l sum_c max_{u: c in S_lu} cluster_coef``, C8 caps theta
+    by both, and the objective by ``theta + eps (sum tU + tL)``, each step
+    widened by the row violation the simplex accepts (``_oracle_bounds``).
+    The highest-bound LP is solved first for an incumbent; then the slot-count
+    vectors are walked in enumeration order and only the LPs whose bound
+    reaches the incumbent go to ``solve_dense_batch``, in batches of at most
+    ``ORACLE_BATCH_BYTES`` of tableau. A pruned LP cannot reach the final
+    objective, so it cannot win or tie. A solved LP gets the rows and bounds
+    the exhaustive loop gives it and is solved from scratch, and the winner
+    is the first in enumeration order with the highest objective, so the
+    plan is the one solving every pair returns.
+    ``nodes_explored`` counts every pair settled, solved or bounded. Exact
+    up to LP tolerance; refuses models with more than 24 binaries.
     """
     cat = model.catalog
     if not isinstance(cat, VariableCatalog) or model.rate_per_slot is None:
@@ -569,38 +590,82 @@ def brute_force(model: ModelInstance) -> MilpSolution:
     c_obj[tl] = eps_obj
 
     t_start = time.perf_counter()
-    best_obj = -np.inf
-    best = None
-    evaluated = 0
-    counts_seen = set()
+    # Each user's supply at full fill under each carrier set d: its C4 sum
+    # over the set, and per carrier its C5 coefficient (0 off the set).
+    # ``take`` gathers them flat: entry d of row (l, u[, c]) sits at row * K + d.
+    K = len(set_masks)
+    user_one = np.einsum("dc,lcu->lud", set_masks, user_coef)            # (L, U, K)
+    cluster_one = np.einsum("dc,lcu->lucd", set_masks, cluster_coef)     # (L, U, C, K)
+    user_at = K * np.arange(L * U).reshape(L, U, 1)
+    cluster_at = K * np.arange(L * U * C).reshape(L, U, C, 1)
+    place = K ** np.arange(L * U - 1, -1, -1)
+
+    def digits(ks):
+        """Carrier-set index (L, U, k) of every user under the assignments
+        ``ks``, numbered in itertools.product order over the users' sets."""
+        return (ks // place[:, None] % K).reshape(L, U, -1)
+
+    def bounds(ks, ns):
+        """``_oracle_bounds`` of the assignments ``ks`` under the count vectors ``ns``."""
+        d = digits(ks)
+        user = user_one.take(user_at + d).min(axis=1)
+        cluster = cluster_one.take(cluster_at + d[:, :, None]).max(axis=1).sum(axis=1)
+        return _oracle_bounds(user, cluster, ns, eps_obj)
+
+    # The inner LPs read a schedule only through its slot counts: each
+    # distinct count vector, with the first schedule that has it.
+    schedules = {}
     for schedule in itertools.product(range(len(slot_masks)), repeat=T):
         z = slot_masks[list(schedule)].T
-        n_active = z.sum(axis=1)
-        # The inner LPs read the schedule only through its slot counts: the
-        # first schedule with these counts already tried every assignment,
-        # and a tie never replaces the best.
-        if tuple(n_active) in counts_seen:
-            continue
-        counts_seen.add(tuple(n_active))
-        A, senses, b = inner_rows(n_active)
-        lps_per_batch = max(1, ORACLE_BATCH_BYTES // (8 * len(b) * (n_cols + 2 * len(b))))
+        schedules.setdefault(tuple(z.sum(axis=1)), z)
+    counts = np.array(list(schedules), dtype=float).reshape(-1, L)
+    # Every count vector's LP has the same rows, so one batch size serves
+    # all, and the bounds go a batch of assignments at a time.
+    m = len(inner_rows(counts[0])[2])
+    lps_per_batch = max(1, ORACLE_BATCH_BYTES // (8 * m * (n_cols + 2 * m)))
+
+    def chunks():
         for start in range(0, n_assign, lps_per_batch):
-            # Beta bounds of the next carrier assignments, in itertools.product order.
-            digits = np.stack(np.unravel_index(
-                np.arange(start, min(start + lps_per_batch, n_assign)),
-                (len(set_masks),) * (L * U)), axis=1)
-            assigned = set_masks[digits].reshape(-1, L, U, C).transpose(0, 1, 3, 2).reshape(-1, beta.size)
-            lo = np.zeros((len(digits), n_cols))
-            lo[:, beta.ravel()] = np.where(assigned, eps_fill, 0.0)
-            hi = np.full((len(digits), n_cols), np.inf)
-            hi[:, beta.ravel()] = assigned
-            for mask, sol in zip(assigned, solve_dense_batch(c_obj, A, senses, b, lo, hi)):
-                evaluated += 1
-                if sol.status != "optimal":
-                    continue
-                if sol.objective > best_obj:
-                    best_obj = sol.objective
-                    best = (z, mask, sol.values)
+            yield np.arange(start, min(start + lps_per_batch, n_assign))
+
+    best_obj, best_at, best = -np.inf, None, None
+
+    def solve(v, ks, A, senses, b):
+        """Solve the LPs of count vector ``v`` and assignments ``ks`` as one
+        batch; keep the first LP in enumeration order with the best objective."""
+        nonlocal best_obj, best_at, best
+        assigned = set_masks[digits(ks)].transpose(2, 0, 3, 1).reshape(len(ks), -1)
+        lo = np.zeros((len(ks), n_cols))
+        lo[:, beta.ravel()] = np.where(assigned, eps_fill, 0.0)
+        hi = np.full((len(ks), n_cols), np.inf)
+        hi[:, beta.ravel()] = assigned
+        for k, mask, sol in zip(ks.tolist(), assigned, solve_dense_batch(c_obj, A, senses, b, lo, hi)):
+            if sol.status == "optimal" and (sol.objective > best_obj or (
+                    sol.objective == best_obj and (v, k) < best_at)):
+                best_obj, best_at, best = sol.objective, (v, k), (mask, sol.values)
+
+    # The incumbent: the LP of the highest bound over all pairs.
+    top, first = -np.inf, (0, 0)
+    for ks in chunks():
+        ub = bounds(ks, counts)
+        v, k = np.unravel_index(int(ub.argmax()), ub.shape)
+        if ub[v, k] > top:
+            top, first = ub[v, k], (int(v), int(ks[k]))
+    v0, k0 = first
+    solve(v0, np.array([k0]), *inner_rows(counts[v0]))
+
+    # The walk: only an LP whose bound reaches the incumbent can still win.
+    for v, n_active in enumerate(counts):
+        rows = None
+        for ks in chunks():
+            live = bounds(ks, n_active[None])[0] >= best_obj
+            if v == v0:
+                live &= ks != k0
+            if live.any():
+                if rows is None:
+                    rows = inner_rows(n_active)
+                solve(v, ks[live], *rows)
+    evaluated = len(counts) * n_assign
 
     if best is None:
         return MilpSolution(
@@ -608,7 +673,8 @@ def brute_force(model: ModelInstance) -> MilpSolution:
             nodes_explored=evaluated, wall_time=time.perf_counter() - t_start, gap=np.inf,
         )
 
-    z, mask, inner = best
+    mask, inner = best
+    z = list(schedules.values())[best_at[0]]
     x = np.zeros(model.num_cols)
     fills = inner[beta]
     x[cat.a] = mask.reshape(L, C, U)
@@ -622,3 +688,29 @@ def brute_force(model: ModelInstance) -> MilpSolution:
         values=x, objective=float(best_obj), status="optimal",
         nodes_explored=evaluated, wall_time=time.perf_counter() - t_start, gap=0.0,
     )
+
+
+def _oracle_bounds(user, cluster, counts, eps_obj):
+    """Upper bound on the objective ``brute_force``'s inner LP can report,
+    for each count vector of ``counts`` (V, L) and each carrier assignment
+    ``S``: a (V, B) array. ``user`` and ``cluster`` (L, B) are each
+    assignment's supplies at full fill, ``min_u sum_{c in S_lu} user_coef``
+    and ``sum_c max_{u: c in S_lu} cluster_coef``.
+
+    Every fill is capped at 1, and exactly so in a reported point, which
+    the simplex clips to its bounds; each row may be violated by up to
+    ``RESIDUAL_TOL``, beyond which the simplex raises. So C4 caps ``tU_l``
+    at ``n_l user_l + r``; C2 (``sum_u beta <= 1 + r``) and C5 cap ``tL`` at
+    ``min_l n_l cluster_l (1 + r) + r``; C8 caps theta at the smaller of
+    them plus ``r``; and the objective is ``theta + eps (sum tU + tL)``.
+    Here ``r`` is twice ``RESIDUAL_TOL``: the second half covers the
+    rounding of these sums and of the LP's own, of order 1e-16 of the terms,
+    which stays far below it while ratios and counts stay below ~1e6.
+    An LP whose bound is below an objective some LP reported therefore
+    reports less than it, and can neither win nor tie.
+    """
+    r = 2 * RESIDUAL_TOL
+    t_user = counts[:, :, None] * user + r                                 # (V, L, B)
+    t_cluster = (counts[:, :, None] * cluster).min(axis=1) * (1 + r) + r   # (V, B)
+    theta = np.minimum(t_user.min(axis=1), t_cluster) + r
+    return theta + eps_obj * (t_user.sum(axis=1) + t_cluster)

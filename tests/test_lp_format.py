@@ -11,7 +11,7 @@ from bhca.cli import resolve_config_path
 from bhca.lp_format import ParsedLp, export_lp, model_canonical_rows, parse_lp, round_trip_matches
 from bhca.baseline import build_bh_model
 from bhca.linkbudget import compute_rate_table
-from bhca.model import EQUAL, GREATER, LESS, LinearConstraint, ModelInstance, RowBuilder
+from bhca.model import EQUAL, GREATER, LESS, GridNames, LinearConstraint, ModelInstance, RowBuilder
 from bhca.scenario import adjacency_pairs, generate_scenario, load_config
 from bhca.solver import solve_lp
 
@@ -502,17 +502,59 @@ def _two_column_model(lower=(0.0, 0.0), upper=(np.inf, 1.0), objective=(1.0, 1.0
     (dict(names=("u", "=")), "column '=' reads as a sense"),
     (dict(names=("u", "v:")), "column 'v:' reads as the start of a row"),
     (dict(names=("u", "")), "column '' reads as nothing"),
+    (dict(names=("u", "u")), "column 'u' appears twice"),
 ], ids=["free-lower", "nan-upper", "minus-inf-upper", "inf-objective", "nan-coef", "inf-rhs", "unknown-sense",
         "line-break-row", "carriage-return-row", "line-break-column", "space-row", "tab-row", "form-feed-row",
         "line-separator-row", "space-column", "tab-column", "form-feed-column", "line-separator-column",
         "backslash-row", "backslash-column", "integer-column", "inf-column", "nan-column", "underscore-column",
         "exponent-column", "arabic-digit-column", "plus-column", "minus-column", "less-column", "greater-column",
-        "equal-column", "colon-column", "empty-column"])
+        "equal-column", "colon-column", "empty-column", "repeated-column"])
 def test_export_names_what_the_format_cannot_carry(change, match):
     # These used to raise OverflowError or "cannot convert float NaN to integer",
     # or, from the backslash on, wrote an export parse_lp could not read back.
     with pytest.raises(ValueError, match=match):
         export_lp(_two_column_model(**change))
+
+
+def test_export_refuses_a_repeated_row_tag():
+    # parse_lp refuses a second row of one name, so the export writes none.
+    rows = [LinearConstraint((0,), (1.0,), LESS, 1.0, "r"), LinearConstraint((1,), (1.0,), LESS, 2.0, "r")]
+    model = ModelInstance.from_constraints(
+        _Columns(("u", "v")), rows, objective=np.ones(2), lower=np.zeros(2), upper=np.ones(2),
+        binary=np.zeros(2, dtype=bool),
+    )
+    with pytest.raises(ValueError, match="row 'r' appears twice"):
+        export_lp(model)
+
+
+@pytest.mark.parametrize("kind", ["row", "column"])
+@pytest.mark.parametrize("blocks, repeated", [
+    ([("r", (("1", "2"), ("a", "b"))), ("s", ())], None),
+    ([("r", (("1_2", "3"),)), ("s", (("1",),))], None),
+    ([("r", (("1", "1"),)), ("s", ())], "r_1"),
+    ([("r_1", ()), ("r", (("1",),))], "r_1"),
+    ([("r", (("1_2", "1"),)), ("r_1", (("2",),))], "r_1_2"),
+], ids=["proven", "rendered", "repeated-label", "head-meets-label", "underscores-meet"])
+def test_grid_names_are_checked_for_repeats(kind, blocks, repeated):
+    # Heads and labels prove the first model's names distinct; the others
+    # are rendered, and a name that appears twice is refused.
+    names = GridNames(blocks)
+    n = len(names)
+    rows = [LinearConstraint((j,), (1.0,), LESS, 1.0, f"x{j}") for j in range(n)]
+    catalog = _Columns(f"x{j}" for j in range(n))
+    model = ModelInstance.from_constraints(
+        catalog, rows, objective=np.ones(n), lower=np.zeros(n), upper=np.full(n, 2.0),
+        binary=np.zeros(n, dtype=bool),
+    )
+    if kind == "row":
+        model = dataclasses.replace(model, tags=names)
+    else:
+        catalog.names = names
+    if repeated is None:
+        assert round_trip_matches(model, parse_lp(export_lp(model)))
+    else:
+        with pytest.raises(ValueError, match=f"{kind} '{repeated}' appears twice"):
+            export_lp(model)
 
 
 def test_names_that_only_look_like_numbers_round_trip():

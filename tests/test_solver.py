@@ -210,12 +210,19 @@ def test_oracle_plan_is_pinned(modcod, seed):
     assert hashlib.sha256(oracle.values.tobytes()).hexdigest() == ORACLE_PLAN_SHA256[seed]
 
 
+# Batch sizes the bounded oracle hands to the simplex on tiny seeds 1 and 2:
+# the highest-bound LP alone, then the LPs of the one count vector whose
+# bounds reach that incumbent.
+ORACLE_BATCHES = {1: [1, 17], 2: [1, 11]}
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_oracle_batch_cap_keeps_the_plan(modcod, seed, monkeypatch):
-    # A tiny model solves each slot-count vector's 256 assignment LPs in one
-    # batch. A smaller cap splits them over several batches, and must not
-    # change what the oracle returns. A cap of 1 byte gives one LP per batch;
-    # 30,000 bytes gives 7 LPs of 13 rows and 12 columns per batch.
+    # A tiny model bounds each slot-count vector's 256 assignment LPs in one
+    # chunk and solves the ones that can still win in one batch. A smaller
+    # cap splits them over several chunks and batches, and must not change
+    # what the oracle returns. A cap of 1 byte gives one LP per batch;
+    # 30,000 bytes gives at most 7 LPs of 13 rows and 12 columns per batch.
     _, _, _, model = make_bundle(tiny_config(seed), modcod)
     sizes = []
 
@@ -225,7 +232,7 @@ def test_oracle_batch_cap_keeps_the_plan(modcod, seed, monkeypatch):
 
     monkeypatch.setattr("bhca.solver.solve_dense_batch", counting)
     want = brute_force(model)
-    assert sizes == [256] * 6
+    assert sizes == ORACLE_BATCHES[seed]
     for cap in (1, 30_000):
         monkeypatch.setattr("bhca.solver.ORACLE_BATCH_BYTES", cap)
         got = brute_force(model)
@@ -254,13 +261,15 @@ def _lp_stream(monkeypatch, solve):
     return count[0], digest.hexdigest()
 
 
-# LP count and stream sha256 of each route, pinned from the solver that
-# wrote its LPs row by row: a refactor of the LP builders must hand the
-# simplex the same LPs in the same order.
+# Simplex call count and stream sha256 of each route, pinned from the solver
+# that wrote its LPs row by row: a refactor of the LP builders must hand the
+# simplex the same LPs in the same order. The oracle's pin comes from the
+# bounded oracle, which hands over only the LPs that can still win, each one
+# an LP of the exhaustive loop (``test_oracle.py`` checks that).
 LP_STREAMS = {
     "desk1-joint": (7, "00336df8a1c75e6a5e52928d62d73f7954ea470b8b45da5d729cd98cd0b1c2a9"),
     "desk1-bh": (3, "fcd9fc32119e2922b68851b3ed012630639df83e99d0f7795ceb2486cdc600a4"),
-    "tiny1-oracle": (6, "7797d81d1117b7ed3e6ad480a224cb3749cf00765d76aad56ffac5abb3e29411"),
+    "tiny1-oracle": (2, "9d19c20a958c67a07693bcf3b3c75649eed2ae3b63d8a310d73520f7e88a361a"),
 }
 
 
