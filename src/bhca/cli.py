@@ -117,16 +117,16 @@ def _summary(report: metrics.MetricsReport, solution: MilpSolution) -> dict:
     }
 
 
-def _solve(scheme: str, scenario, rates, pairs, manifest: RunManifest, artifacts: dict):
+def _solve(scheme: str, scenario, rates, pairs, opts: SolverOptions, export: bool, artifacts: dict):
     """Solve one scheme; return its plan, its MILP solution and its solver
-    log lines. The joint scheme adds its LP export to ``artifacts``."""
-    opts = manifest.solver_options()
+    log lines. The joint scheme adds its LP export to ``artifacts`` when
+    ``export`` is set."""
     log_lines: list[str] = []
     try:
         if scheme == "bhca":
             logger.info("building joint model")
             model = build_model(scenario, rates, pairs)
-            if manifest.export_lp:
+            if export:
                 artifacts["model_bhca.lp"] = export_lp(model)
             logger.info("solving joint model (node limit %d)", opts.node_limit)
             solution = solve_milp(model, opts, log=log_lines.append)
@@ -155,6 +155,11 @@ def run(manifest: RunManifest) -> int:
     if manifest.workers != 1:
         print(f"config error: workers must be 1, got {manifest.workers}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        opts = manifest.solver_options()
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     logger.info("generating scenario (seed %d)", config.rng_seed)
     scenario = generate_scenario(config)
@@ -167,7 +172,7 @@ def run(manifest: RunManifest) -> int:
     summaries: dict[str, dict] = {}
 
     for scheme in ("bhca", "bh") if manifest.scheme == "both" else (manifest.scheme,):
-        plan, solution, log_lines = _solve(scheme, scenario, rates, pairs, manifest, artifacts)
+        plan, solution, log_lines = _solve(scheme, scenario, rates, pairs, opts, manifest.export_lp, artifacts)
         statuses[scheme] = solution.status
         artifacts[f"solver_log_{scheme}.txt"] = "\n".join(log_lines) + "\n"
         artifacts[f"plan_{scheme}.json"] = _dump_json(plan.to_dict())

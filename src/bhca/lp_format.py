@@ -4,21 +4,20 @@ The writer is byte-stable for a fixed model: fixed section order
 (Maximize / Subject To / Bounds / Binaries / End), constraint names taken
 from the row tags, coefficients rendered with ``repr`` so parsing recovers
 them exactly, and long rows folded at a fixed width. The Subject To
-section is rendered in pieces of at most one run's weight
-(``EXPORT_RUN_TERMS``), so its working memory is set by the run size, not
-by the model: the table2 export peaks at about 2.4 times its own text. A
-block of ``GridNames`` rows heavier than one run whose rows differ only in
-tag and columns, and are too narrow to fold, is rendered from one template
-(the four C9 blocks of a full-scale model); every other row is rendered a
-run at a time and folded after its line end is found in the run's text.
-Neither the run size nor the path changes the bytes. The writer refuses a
-name the reader would not read back: one holding whitespace or a ``\\``,
-or a column name that reads as a number, sign, sense or row start. The
-reader accepts only the constructs the writer emits.
+section is rendered one run of rows at a time (``EXPORT_RUN_TERMS``), so
+its working memory is set by the run size, not by the model: the table2
+export peaks at about 2.4 times its own text. A run joins pieces that are
+shared where the data allow: a ``GridNames`` block's tags come from its
+head and labels, not built one by one, and a coefficient, sense or rhs
+that every row of the run holds is one string. A run is searched for
+lines to fold only when its longest pieces could make a line wider than
+the fold width. The run size does not change the bytes. The writer
+refuses a name the reader would not read back: one holding whitespace or
+a ``\\``, or a column name that reads as a number, sign, sense or row
+start. The reader accepts only the constructs the writer emits.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -44,13 +43,33 @@ def _signed(x: float) -> str:
     return f" {'+' if x >= 0 else '-'} {_num(abs(x))} "
 
 
-def _distinct(values: np.ndarray, render) -> np.ndarray:
-    """``render(v)`` for every entry of ``values``, called once per distinct
-    value, as an object array."""
+def _distinct(values: np.ndarray, render):
+    """``(texts, width)``: ``render(v)`` for every entry of ``values`` and the
+    length of the longest text.
+
+    When every row of ``values`` equals the first, the texts are that row's
+    alone: one ``str`` for a 1-D ``values``, an object array of one row's
+    texts for a 2-D one. Else ``render`` is called once per distinct value
+    and the texts fill an object array of ``values``'s shape.
+    """
+    # Comparing the last row first is an early out.
+    if values.size and values[-1:].tolist() == values[:1].tolist() and (values == values[0]).all():
+        texts = [render(v) for v in np.ravel(values[0]).tolist()]
+        return (texts[0] if values.ndim == 1 else np.array(texts, dtype=object)), max(map(len, texts))
     # Asking for the index makes np.unique sort stably, which is several
     # times faster on the long runs of equal values that model rows hold.
     distinct, _, inverse = np.unique(values, return_index=True, return_inverse=True)
-    return np.array([render(v) for v in distinct.tolist()], dtype=object)[inverse]
+    texts = [render(v) for v in distinct.tolist()]
+    return np.array(texts, dtype=object)[inverse].reshape(values.shape), max(map(len, texts), default=0)
+
+
+def _widest(names) -> int:
+    """Length of the longest of ``names``, measured from the heads and labels
+    of a ``GridNames``."""
+    if isinstance(names, GridNames):
+        return max((len(head) + len(axes) + sum(max(map(len, axis)) for axis in axes)
+                    for start, stop, head, axes in names.blocks() if stop > start), default=0)
+    return max(map(len, names), default=0)
 
 
 def _find(text: str, char: str) -> np.ndarray:
@@ -64,7 +83,8 @@ def _find(text: str, char: str) -> np.ndarray:
 def _interleave(*columns) -> str:
     """``columns[0][0] + columns[1][0] + ... + columns[0][1] + ...`` in one join;
     a ``str`` column repeats on every line."""
-    pieces = np.empty((len(columns[0]), len(columns)), dtype=object)
+    lines = next(len(column) for column in columns if not isinstance(column, str))
+    pieces = np.empty((lines, len(columns)), dtype=object)
     for k, column in enumerate(columns):
         pieces[:, k] = column
     return "".join(pieces.ravel().tolist())
@@ -77,18 +97,19 @@ def _fold(text: str, prefix_len: int) -> str:
     Each line takes as many tokens as fit, and at least one; a continuation
     line starts with one more space. Each line is a slice of ``text``.
     """
-    # ends[k] is where token k ends, ends[0] where the prefix ends. A token
-    # ends where the next one's leading space is.
-    starts = _find(text[prefix_len:], " ") + prefix_len
-    ends = [prefix_len, *starts[1:].tolist(), len(text)]
-    lines, begin, token, limit = [], 0, 0, _FOLD_WIDTH
-    while True:
-        last = max(bisect.bisect_right(ends, limit) - 1, token + 1)
-        if last >= len(ends) - 1:
-            lines.append(text[begin:])
-            return "\n ".join(lines)
-        lines.append(text[begin:ends[last]])
-        begin, token, limit = ends[last], last, ends[last] + _FOLD_WIDTH - 1
+    # A line ends where a token's leading space is, and the first line holds
+    # the token whose space is at prefix_len.
+    lines, begin, lo, limit = [], 0, prefix_len + 1, _FOLD_WIDTH
+    while len(text) > limit:
+        end = text.rfind(" ", lo, limit + 1)
+        if end < 0:
+            end = text.find(" ", lo)
+            if end < 0:
+                break
+        lines.append(text[begin:end])
+        begin, lo, limit = end, end + 1, end + _FOLD_WIDTH - 1
+    lines.append(text[begin:])
+    return "\n ".join(lines)
 
 
 def _bound_cols(model: ModelInstance) -> np.ndarray:
@@ -111,141 +132,101 @@ def _runs(indptr: np.ndarray):
         r0 = r1
 
 
+def _prefixes(tags):
+    """``(prefix, width)``: ``prefix(r0, r1)`` gives rows ``[r0, r1)`` their
+    ``" <tag>:"`` prefixes as two object arrays, a lead and an end, and no
+    prefix is longer than ``width``.
+
+    A ``GridNames`` block ``head`` over ``axes`` leads with
+    ``label_product(" " + head, axes[:-1])`` and ends with its last axis's
+    labels and ``":"``, so no tag is built; tags given as a list lead with
+    ``" " + tag``. The tags are checked here (``_check_one_token``), a
+    ``GridNames`` block through its head and labels, rendered only on a hit.
+    """
+    leads, ends, at = [], [], []
+    if isinstance(tags, GridNames):
+        blocks = tags.blocks()
+        text = "".join(head + "".join(itertools.chain.from_iterable(axes)) for _, _, head, axes in blocks)
+        for start, stop, head, axes in blocks:
+            if stop > start:
+                end = [f"_{label}:" for label in axes[-1]] if axes else [":"]
+                at.append((start, len(end), len(leads), len(ends)))
+                leads += label_product(" " + head, axes[:-1]).tolist()
+                ends += end
+    else:
+        listed = list(tags)
+        text, leads, ends, at = "".join(listed), [" " + tag for tag in listed], [":"], [(0, 1, 0, 0)]
+    if _flaw(text):
+        _check_one_token("row", list(tags))
+    width = max(map(len, leads), default=0) + max(map(len, ends), default=0)
+    leads, ends, at = np.array(leads, dtype=object), np.array(ends, dtype=object), np.array(at, dtype=np.int64)
+
+    def prefix(r0: int, r1: int):
+        rows = np.arange(r0, r1)
+        start, period, lead_at, end_at = at[np.searchsorted(at[:, 0], rows, side="right") - 1].T
+        lead, end = np.divmod(rows - start, period)
+        return leads[lead_at + lead], ends[end_at + end]
+
+    return prefix, width
+
+
 def _rows_text(model: ModelInstance, names: np.ndarray) -> list[str]:
-    """The Subject To lines, one string per run of rows from ``_runs`` or
-    per chunk of a templated block. Only these texts outlive their rows, so
-    the run size sets the memory.
-
-    A block of ``GridNames`` tags heavier than one run whose rows share a
-    template (``_template``) is rendered from it (``_block_text``); all
-    other rows, and every row of a model whose tags are no ``GridNames``,
-    are rendered a run at a time (``_run_text``).
-    """
-    # No block is heavier than a run when the whole model is not.
-    if not isinstance(model.tags, GridNames) or model.indptr[-1] + model.num_rows <= EXPORT_RUN_TERMS:
-        return _span_text(model, names, iter(model.tags), 0, model.num_rows)
-    blocks = model.tags.blocks()
-    bounds = np.array([start for start, _, _, _ in blocks] + [model.num_rows], dtype=np.int64)
-    heavy = np.flatnonzero(np.diff(model.indptr[bounds] + bounds) > EXPORT_RUN_TERMS).tolist()
-    name_width = max(map(len, names.tolist()), default=0) if heavy else 0
-    out, done = [], 0
-    for start, stop, head, axes in (blocks[b] for b in heavy):
-        template = _template(model, start, stop, head, axes, name_width)
-        if template is not None:
-            out += _light_text(model, names, blocks, done, start)
-            out += _block_text(model, names, start, stop, head, axes, *template)
-            done = stop
-    return out + _light_text(model, names, blocks, done, model.num_rows)
+    """The Subject To lines, one string per run of rows from ``_runs``
+    (``_run_text``). Only these texts outlive their rows, so the run size
+    sets the memory."""
+    prefix, prefix_width = _prefixes(model.tags)
+    widths = prefix_width, _widest(model.catalog.names)
+    return [_run_text(model, names, prefix(r0, r1), widths, r0, r1) for r0, r1 in _runs(model.indptr)]
 
 
-def _light_text(model, names, blocks, s0: int, s1: int) -> list[str]:
-    """``_span_text`` of rows ``[s0, s1)``, which whole ``GridNames`` blocks cover."""
-    tags = itertools.chain.from_iterable(
-        label_product(head, axes).tolist() for start, _, head, axes in blocks if s0 <= start < s1
-    )
-    return _span_text(model, names, tags, s0, s1)
+def _run_text(model, names, prefix, widths, r0: int, r1: int) -> str:
+    """Subject To lines of rows ``[r0, r1)``, whose ``" <tag>:"`` prefixes
+    ``prefix`` holds as a lead and an end; ``widths`` bound the length of a
+    prefix and of a column name.
 
-
-def _span_text(model, names, tags, s0: int, s1: int) -> list[str]:
-    """``_run_text`` of each run of rows ``[s0, s1)``; ``tags`` yields their tags."""
-    return [_run_text(model, names, tags, s0 + r0, s0 + r1) for r0, r1 in _runs(model.indptr[s0:s1 + 1])]
-
-
-def _template(model, start: int, stop: int, head: str, axes, name_width: int):
-    """``(pieces, tail)`` shared by every row of ``[start, stop)``: each
-    term's coefficient piece and the ``" <sense> <rhs>\\n"`` line end; None
-    when the rows differ in term count, coefficients, sense or rhs, or when
-    a row could be wider than ``_FOLD_WIDTH`` with names up to ``name_width``
-    characters wide."""
-    ptr = model.indptr[start:stop + 1]
-    a, b = int(ptr[0]), int(ptr[-1])
-    k = (b - a) // (stop - start)
-    if (np.diff(ptr) != k).any():
-        return None
-    coefs = model.coefs[a:b].reshape(stop - start, k)
-    senses, rhs = model.senses[start:stop], model.rhs[start:stop]
-    if (coefs != coefs[0]).any() or (senses != senses[0]).any() or (rhs != rhs[0]).any():
-        return None
-    pieces = [_signed(v) for v in coefs[0].tolist()]
-    tail = f" {senses[0]} {_num(rhs[0])}\n"
-    tag_width = len(head) + sum(1 + max(map(len, axis)) for axis in axes)
-    # " tag:", the terms and the tail without its line break.
-    width = tag_width + sum(map(len, pieces)) + k * name_width + len(tail) + 1
-    return (pieces, tail) if width <= _FOLD_WIDTH else None
-
-
-def _block_text(model, names, start: int, stop: int, head: str, axes, pieces, tail) -> list[str]:
-    """Subject To lines of the block ``[start, stop)`` named ``head`` over
-    ``axes``, whose rows share ``pieces`` and ``tail`` (``_template``), one
-    string per chunk of rows weighing at most one run.
-
-    A row joins the pieces ``" <head>_<label>..."``, ``"_<last label>:<first
-    piece>"``, the first column's name, each later term's piece and name,
-    and ``tail``. All are gathered or repeated, none is built per row: the
-    first piece is appended to the last axis's labels.
-    """
-    if _flaw(head + "".join(itertools.chain.from_iterable(axes))):
-        _check_one_token("row", label_product(head, axes).tolist())
-    k, m = len(pieces), stop - start
-    end = ":" + (pieces[0] if k else "")
-    outer = label_product(" " + head, axes[:-1])
-    ends = np.array([f"_{label}{end}" for label in axes[-1]] if axes else [end], dtype=object)
-    a = int(model.indptr[start])
-    cols = model.cols[a:a + m * k].reshape(m, k)
-    texts, step = [], max(1, EXPORT_RUN_TERMS // (k + 1))
-    for i0 in range(0, m, step):
-        rows = np.arange(i0, min(i0 + step, m))
-        columns = [outer[rows // ends.size], ends[rows % ends.size]]
-        for j in range(k):
-            if j:
-                columns.append(pieces[j])
-            columns.append(names[cols[i0:i0 + step, j]])
-        texts.append(_interleave(*columns, tail))
-    return texts
-
-
-def _run_text(model, names, tags, r0: int, r1: int) -> str:
-    """Subject To lines of rows ``[r0, r1)``; ``tags`` yields their tags next.
-
-    The run gathers the pieces ``" ", tag, ":", (coefficient, name) x k,
-    sense, rhs`` of its rows and joins them, so row ``i`` of the run is line
-    ``i`` of the text. The lines wider than ``_FOLD_WIDTH``, found by their
-    line ends in the text, are folded after their ``" tag:"`` prefix.
+    Row ``i`` of the run joins the pieces ``lead, end, (coefficient, name)
+    x k, " <sense> ", "<rhs>\\n"`` into line ``i`` of the run's text. A
+    piece every row shares is one ``str`` (``_distinct``), and when every
+    row has ``k`` terms the pieces fill an ``(m, 4 + 2k)`` grid. A line
+    wider than ``_FOLD_WIDTH``, found by its line end in the text, is folded
+    after its prefix; the text is searched only when the longest pieces
+    could make such a line.
     """
     ptr = model.indptr[r0:r1 + 1]
     a, b = int(ptr[0]), int(ptr[-1])
-    starts, stops = ptr[:-1] - a, ptr[1:] - a
-    m, nnz, cols = r1 - r0, b - a, model.cols[a:b]
-    rows = np.arange(m)
-    tags = np.fromiter(itertools.islice(tags, m), dtype=object, count=m)
-    # Tags are checked here, as they are rendered once; column names were
-    # checked before any run.
-    _check_one_token("row", tags.tolist())
-    coef_txt = _distinct(model.coefs[a:b], _signed)
-    sense_txt = _distinct(model.senses[r0:r1], lambda s: f" {s} ")
-    rhs_txt = _distinct(model.rhs[r0:r1], lambda v: _num(v) + "\n")
-
-    # Row i fills pieces [5i + 2 starts[i], 5(i + 1) + 2 stops[i]).
-    pieces = np.empty(5 * m + 2 * nnz, dtype=object)
-    row_at = 5 * rows + 2 * starts
-    tail_at = 5 * rows + 2 * stops + 3
-    term_at = np.arange(3, 2 * nnz + 3, 2) + 5 * np.repeat(rows, stops - starts)
-    pieces[row_at] = " "
-    pieces[row_at + 1] = tags
-    pieces[row_at + 2] = ":"
-    pieces[term_at] = coef_txt
-    pieces[term_at + 1] = names[cols]
-    pieces[tail_at] = sense_txt
-    pieces[tail_at + 1] = rhs_txt
+    terms = ptr[1:] - ptr[:-1]
+    m, nnz, k = r1 - r0, b - a, int(terms.max())
+    pieces = np.empty(4 * m + 2 * nnz, dtype=object)
+    if (terms == k).all():
+        target, shape = pieces.reshape(m, 4 + 2 * k), (m, k)
+        lead_at, end_at, sense_at, rhs_at = np.s_[:, 0], np.s_[:, 1], np.s_[:, -2], np.s_[:, -1]
+        coef_at, name_at = np.s_[:, 2:-2:2], np.s_[:, 3:-2:2]
+    else:
+        target, shape, rows = pieces, (nnz,), np.arange(m)
+        lead_at = 4 * rows + 2 * (ptr[:-1] - a)
+        end_at, sense_at, rhs_at = lead_at + 1, lead_at + 2 + 2 * terms, lead_at + 3 + 2 * terms
+        coef_at = np.arange(2, 2 * nnz + 2, 2) + 4 * np.repeat(rows, terms)
+        name_at = coef_at + 1
+    coef_txt, coef_width = _distinct(model.coefs[a:b].reshape(shape), _signed)
+    sense_txt, sense_width = _distinct(model.senses[r0:r1], lambda s: f" {s} ")
+    rhs_txt, rhs_width = _distinct(model.rhs[r0:r1], lambda v: _num(v) + "\n")
+    target[lead_at], target[end_at] = prefix
+    target[coef_at] = coef_txt
+    target[name_at] = names[model.cols[a:b]].reshape(shape)
+    target[sense_at], target[rhs_at] = sense_txt, rhs_txt
     text = "".join(pieces.tolist())
-    del pieces  # before the fold copies slices of the text
+    del pieces, target  # before the fold copies slices of the text
 
+    prefix_width, name_width = widths
+    # The widest line these pieces could make, without its line break.
+    if prefix_width + k * (coef_width + name_width) + sense_width + rhs_width - 1 <= _FOLD_WIDTH:
+        return text
     ends = _find(text, "\n")
     begins = np.concatenate([[0], ends[:-1] + 1])
     parts, done = [], 0
     for i in np.flatnonzero(ends - begins > _FOLD_WIDTH).tolist():
         begin, end = int(begins[i]), int(ends[i])
-        parts += [text[done:begin], _fold(text[begin:end], len(tags[i]) + 2)]
+        parts += [text[done:begin], _fold(text[begin:end], len(prefix[0][i]) + len(prefix[1][i]))]
         done = end
     if not parts:
         return text
@@ -354,7 +335,7 @@ def _check_distinct(kind: str, names) -> None:
 def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first column or row holding a name or
     number the dialect cannot carry: a name is one token (``_check_one_token``;
-    ``_rows_text`` checks the tags), appears once among the columns or the
+    ``_prefixes`` checks the tags), appears once among the columns or the
     rows (``_check_distinct``), and a column name reads as a name, not as a
     number, sign, sense or row start; a column has no free or ``-inf`` bound
     form, a row's sense is one of ``<=``, ``>=`` and ``=``, and a
@@ -391,7 +372,7 @@ def export_lp(model: ModelInstance) -> str:
     out = ["\\ Problem: bhca\nMaximize\n"]
 
     obj_cols = np.nonzero(model.objective)[0]
-    obj_txt = _distinct(model.objective[obj_cols], _signed)
+    obj_txt, _ = _distinct(model.objective[obj_cols], _signed)
     out.append(_fold(" obj:" + _interleave(obj_txt, names[obj_cols]), 5) + "\n")
 
     out.append("Subject To\n")
@@ -403,15 +384,15 @@ def export_lp(model: ModelInstance) -> str:
     finite = highs != np.inf
     before = np.full(shown.size, " ", dtype=object)
     after = np.empty(shown.size, dtype=object)
-    before[finite] = _distinct(lows[finite], lambda v: f" {_num(v)} <= ")
-    after[finite] = _distinct(highs[finite], lambda v: f" <= {_num(v)}\n")
-    after[~finite] = _distinct(lows[~finite], lambda v: f" >= {_num(v)}\n")
+    before[finite], _ = _distinct(lows[finite], lambda v: f" {_num(v)} <= ")
+    after[finite], _ = _distinct(highs[finite], lambda v: f" <= {_num(v)}\n")
+    after[~finite], _ = _distinct(lows[~finite], lambda v: f" >= {_num(v)}\n")
     out.append(_interleave(before, names[shown], after))
 
     binaries = np.nonzero(model.binary)[0]
     if binaries.size:
         out.append("Binaries\n")
-        line = _interleave(np.full(binaries.size, " ", dtype=object), names[binaries])
+        line = _interleave(" ", names[binaries])
         out.append(_fold(line, 0) + "\n")
     out.append("End\n")
     return "".join(out)

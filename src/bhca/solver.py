@@ -61,6 +61,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
+        # NaN fails every comparison, so it is refused with inf and negatives.
+        if self.time_limit is not None and not 0.0 <= self.time_limit < np.inf:
+            raise ValueError(f"time_limit must be a finite number of seconds >= 0, got {self.time_limit!r}")
 
 
 @dataclass

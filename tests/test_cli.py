@@ -238,6 +238,21 @@ def test_workers_other_than_one_is_a_config_error(tmp_path, tiny_config_file, ca
     assert "workers must be 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--node-limit", "0"], "node_limit must be >= 1"),
+    (["--time-limit", "nan"], "time_limit must be a finite number of seconds >= 0, got nan"),
+    (["--time-limit", "inf"], "time_limit must be a finite number of seconds >= 0, got inf"),
+    (["--time-limit", "-1"], "time_limit must be a finite number of seconds >= 0, got -1.0"),
+], ids=["zero-nodes", "nan-seconds", "inf-seconds", "negative-seconds"])
+def test_bad_solver_limit_is_a_config_error(tmp_path, tiny_config_file, capsys, flags, message):
+    # These used to end in a traceback, write NaN or Infinity into
+    # manifest.json, or stop before the first LP.
+    out = tmp_path / "never"
+    assert main(["run", "--config", tiny_config_file, "--out", str(out), *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_solver_error_exits_distinct_without_traceback(tmp_path, tiny_config_file, capsys, monkeypatch):
     def stalled(*args, **kwargs):
         raise RuntimeError("simplex stalled after 10 iterations")

@@ -43,6 +43,12 @@ def test_options_validation():
     assert [f.name for f in dataclasses.fields(SolverOptions)] == ["node_limit", "time_limit"]
     with pytest.raises(ValueError):
         SolverOptions(node_limit=0)
+    # NaN and inf used to switch the limit off, and a negative limit stopped
+    # the search before its first LP.
+    for limit in (float("nan"), float("inf"), -float("inf"), -1.0, -1e-9):
+        with pytest.raises(ValueError, match="time_limit must be a finite number of seconds >= 0"):
+            SolverOptions(time_limit=limit)
+    assert SolverOptions(time_limit=0.0).time_limit == 0.0
 
 
 def test_lp_relaxation_bounds_milp(tiny_bundle):
