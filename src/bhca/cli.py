@@ -102,8 +102,8 @@ def _summary(report: metrics.MetricsReport, solution: MilpSolution) -> dict:
     return {
         "min_user_ratio": report.min_user_ratio,
         "min_cluster_ratio": report.min_cluster_ratio,
-        "jain_user_system": report.jain_user_system,
-        "jain_cluster_level": report.jain_cluster_level,
+        "jain_user_system": metrics.json_number(report.jain_user_system),
+        "jain_cluster_level": metrics.json_number(report.jain_cluster_level),
         "total_demand_bphw": report.total_demand_bphw,
         "total_supply_bphw": report.total_supply_bphw,
         "unused_bphw": report.unused_bphw,
@@ -139,26 +139,40 @@ def _solve(scheme: str, scenario, rates, pairs, opts: SolverOptions, export: boo
         raise RuntimeError(f"{name} solution failed its audit: {exc.report}") from exc
 
 
-def run(manifest: RunManifest) -> int:
-    """Execute a full experiment; returns the process exit status."""
+def _prepare(manifest: RunManifest) -> tuple[SystemConfig | None, SolverOptions | None, list[str]]:
+    """Check a run before it generates anything: return its seeded config,
+    its solver options and the diagnostics that refuse it (empty if none)."""
     config, diags = _read_config(manifest.config)
     if diags:
-        for d in diags:
-            print(f"config error: {d}", file=sys.stderr)
-        return EXIT_CONFIG
-
+        return None, None, diags
     if manifest.seed is not None:
         config = dataclasses.replace(config, rng_seed=manifest.seed)
+        diags = config.validate()
+        if diags:
+            return None, None, diags
     if manifest.scheme not in ("bhca", "bh", "both"):
-        print(f"config error: unknown scheme {manifest.scheme!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        return None, None, [f"unknown scheme {manifest.scheme!r}"]
     if manifest.workers != 1:
-        print(f"config error: workers must be 1, got {manifest.workers}", file=sys.stderr)
-        return EXIT_CONFIG
+        return None, None, [f"workers must be 1, got {manifest.workers}"]
     try:
         opts = manifest.solver_options()
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        return None, None, [str(exc)]
+    # The artifacts go to --out itself, or its nearest existing ancestor.
+    path = os.path.abspath(manifest.out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        return None, None, [f"--out {manifest.out_dir}: {path} is not a directory"]
+    return config, opts, []
+
+
+def run(manifest: RunManifest) -> int:
+    """Execute a full experiment; returns the process exit status."""
+    config, opts, diags = _prepare(manifest)
+    if diags:
+        for d in diags:
+            print(f"config error: {d}", file=sys.stderr)
         return EXIT_CONFIG
 
     logger.info("generating scenario (seed %d)", config.rng_seed)
@@ -196,34 +210,39 @@ def run(manifest: RunManifest) -> int:
                 repr(float(demand[l].sum())),
                 repr(float(reports["bhca"].cluster_ratios[l] * demand[l].sum())),
                 repr(float(reports["bh"].cluster_ratios[l] * demand[l].sum())),
-                repr(float(reports["bhca"].jain_per_cluster[l])),
-                repr(float(reports["bh"].jain_per_cluster[l])),
+                metrics.csv_number(reports["bhca"].jain_per_cluster[l]),
+                metrics.csv_number(reports["bh"].jain_per_cluster[l]),
             ]))
         artifacts["comparison.csv"] = "\n".join(lines) + "\n"
 
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    checksums = {}
-    for name, payload in sorted(artifacts.items()):
-        data = payload.encode()
-        checksums[name] = hashlib.sha256(data).hexdigest()
-        with open(os.path.join(manifest.out_dir, name), "wb") as fh:
-            fh.write(data)
-    manifest.checksums = checksums
-    manifest_doc = {
-        "config": manifest.config,
-        "seed": config.rng_seed,
-        "scheme": manifest.scheme,
-        "solver": {
-            "node_limit": manifest.node_limit,
-            "time_limit": manifest.time_limit,
-            "workers": manifest.workers,
-        },
-        "export_lp": manifest.export_lp,
-        "statuses": statuses,
-        "checksums": checksums,
-    }
-    with open(os.path.join(manifest.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(manifest_doc))
+    try:
+        os.makedirs(manifest.out_dir, exist_ok=True)
+        checksums = {}
+        for name, payload in sorted(artifacts.items()):
+            data = payload.encode()
+            checksums[name] = hashlib.sha256(data).hexdigest()
+            with open(os.path.join(manifest.out_dir, name), "wb") as fh:
+                fh.write(data)
+        manifest.checksums = checksums
+        manifest_doc = {
+            "config": manifest.config,
+            "seed": config.rng_seed,
+            "scheme": manifest.scheme,
+            "solver": {
+                "node_limit": manifest.node_limit,
+                "time_limit": manifest.time_limit,
+                "workers": manifest.workers,
+            },
+            "export_lp": manifest.export_lp,
+            "statuses": statuses,
+            "checksums": checksums,
+        }
+        with open(os.path.join(manifest.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+            fh.write(_dump_json(manifest_doc))
+    except OSError as exc:
+        # --out passed the checks, yet a write failed (permissions, a full disk).
+        print(f"config error: cannot write the artifacts: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     limited = any(s == "feasible" for s in statuses.values())
     logger.info("run complete: %s", statuses)

@@ -2,13 +2,17 @@
 unused capacity, and serialization to JSON/CSV rows.
 
 Works on any plan object exposing ``user_supply`` (L, U) and
-``cluster_supply`` (L,) in bits per hopping window.
+``cluster_supply`` (L,) in bits per hopping window. A plan may leave a
+cluster unlit, so every ratio it holds is 0 and its Jain index is
+undefined: the report holds NaN there, written as ``null`` in JSON and as
+an empty CSV cell.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +40,30 @@ def jain_index(ratios) -> float:
     return square_sum / sum_square
 
 
+def _jain_or_nan(ratios) -> float:
+    """``jain_index``, or NaN where it is undefined: every ratio is 0."""
+    return jain_index(ratios) if np.any(ratios) else math.nan
+
+
+def json_number(value: float) -> float | None:
+    """``value`` for a JSON document: ``None`` where it is NaN (undefined)."""
+    return None if math.isnan(value) else value
+
+
+def csv_number(value: float) -> str:
+    """``value`` for a CSV cell: empty where it is NaN (undefined)."""
+    return "" if math.isnan(value) else repr(float(value))
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Supply/demand matching summary for one plan."""
 
     user_ratios: np.ndarray        # (L, U)
     cluster_ratios: np.ndarray     # (L,)
-    jain_per_cluster: np.ndarray   # (L,) over that cluster's user ratios
-    jain_user_system: float        # pooled user ratios across all clusters
-    jain_cluster_level: float      # over cluster ratios
+    jain_per_cluster: np.ndarray   # (L,) over that cluster's user ratios; NaN if all are 0
+    jain_user_system: float        # pooled user ratios across all clusters; NaN if all are 0
+    jain_cluster_level: float      # over cluster ratios; NaN if all are 0
     min_user_ratio: float
     min_cluster_ratio: float
     total_demand_bphw: float
@@ -72,9 +91,9 @@ class MetricsReport:
         return {
             "user_ratios": self.user_ratios.tolist(),
             "cluster_ratios": self.cluster_ratios.tolist(),
-            "jain_per_cluster": self.jain_per_cluster.tolist(),
-            "jain_user_system": self.jain_user_system,
-            "jain_cluster_level": self.jain_cluster_level,
+            "jain_per_cluster": [json_number(j) for j in self.jain_per_cluster.tolist()],
+            "jain_user_system": json_number(self.jain_user_system),
+            "jain_cluster_level": json_number(self.jain_cluster_level),
             "min_user_ratio": self.min_user_ratio,
             "min_cluster_ratio": self.min_cluster_ratio,
             "total_demand_bphw": self.total_demand_bphw,
@@ -100,13 +119,13 @@ def build_report(plan, scenario: Scenario) -> MetricsReport:
     user_ratios = supply / demand
     cluster_demand = demand.sum(axis=1)
     cluster_ratios = cluster_supply / cluster_demand
-    jain_per_cluster = np.array([jain_index(user_ratios[l]) for l in range(demand.shape[0])])
+    jain_per_cluster = np.array([_jain_or_nan(user_ratios[l]) for l in range(demand.shape[0])])
     return MetricsReport(
         user_ratios=user_ratios,
         cluster_ratios=cluster_ratios,
         jain_per_cluster=jain_per_cluster,
-        jain_user_system=jain_index(user_ratios.ravel()),
-        jain_cluster_level=jain_index(cluster_ratios),
+        jain_user_system=_jain_or_nan(user_ratios.ravel()),
+        jain_cluster_level=_jain_or_nan(cluster_ratios),
         min_user_ratio=float(user_ratios.min()),
         min_cluster_ratio=float(cluster_ratios.min()),
         total_demand_bphw=float(demand.sum()),
@@ -145,7 +164,7 @@ def report_rows(report: MetricsReport, scenario: Scenario) -> list[dict]:
             "demand_bphw": repr(float(demand[l].sum())),
             "supply_bphw": repr(float(supply[l].sum())),
             "ratio": repr(float(report.cluster_ratios[l])),
-            "jain": repr(float(report.jain_per_cluster[l])),
+            "jain": csv_number(report.jain_per_cluster[l]),
         })
     rows.append({
         "scope": "system",
@@ -153,7 +172,7 @@ def report_rows(report: MetricsReport, scenario: Scenario) -> list[dict]:
         "demand_bphw": repr(report.total_demand_bphw),
         "supply_bphw": repr(report.total_supply_bphw),
         "ratio": repr(report.total_supply_bphw / report.total_demand_bphw),
-        "jain": repr(report.jain_user_system),
+        "jain": csv_number(report.jain_user_system),
     })
     return rows
 

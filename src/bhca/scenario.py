@@ -120,6 +120,8 @@ class SystemConfig:
             diags.append("high_demand_fraction must be in [0, 1]")
         if self.beam_pitch_km <= 0:
             diags.append("beam_pitch_km must be > 0")
+        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
+            diags.append("rng_seed must be an integer >= 0")
         return diags
 
     def require_valid(self) -> None:

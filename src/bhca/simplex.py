@@ -20,13 +20,12 @@ it does not depend on the other LPs of a batch or on the artificial slots an
 LP does not use, and a batch member's result is bit-identical to
 ``solve_dense`` on the same LP.
 
-The batch path works in place. Finished LPs leave the pivoting prefix of
-the batch axis by trading slots, and the rank-1 update goes through one
+The batch path works in place, and each LP keeps its own slot of the batch
+axis from set-up to finish. A pivot step covers the whole batch but writes
+only the LPs that have not finished, and the rank-1 update goes through one
 reused buffer a quarter the size of the tableaux. The set-up allocates no
-other ``(B, m, N)`` array, so while pivoting a batch holds about 1.25 times
-its tableaux, plus ``(B, N)`` and ``(B, m)`` rows. At the phase change the
-tableaux go back to LP order in place, through one spare tableau, so phase 1
-needs no more memory than phase 2.
+other ``(B, m, N)`` array, so in either phase a batch holds about 1.25 times
+its tableaux, plus ``(B, N)`` and ``(B, m)`` rows.
 """
 from __future__ import annotations
 
@@ -298,98 +297,59 @@ def _iterate(T, rhs, z, basis, sign, ub, max_iter, bland_after):
 def _iterate_batch(tab: _Tableaux, lps: np.ndarray, phase: int) -> None:
     """Pivot the tableaux ``lps`` of ``tab`` in lockstep, each as ``_iterate`` would.
 
-    Works in place on ``tab``'s arrays, with the unfinished LPs in a prefix
-    of the batch axis. An LP that finishes trades slots with an unfinished
-    one from behind the shorter prefix, so a retirement copies at most two
-    tableaux per finished LP. At the end every LP's basis, point and
-    pricing row return to its own slot, and after phase 1 its tableau too.
-    The rank-1 update runs in quarters of the batch through one reused
-    buffer, which also stages the trades: the working set is 1.25 times the
-    tableaux of the LPs that take part.
+    Works in place on ``tab``'s arrays, and every LP keeps its own slot of
+    the batch axis. The ``live`` mask starts as ``lps`` and loses each LP as
+    it finishes. A step reads every slot and writes only the live ones,
+    through ``where=`` masks; a finished LP takes a zero step, so its
+    numbers raise no warning. The rank-1 update runs in quarters of the
+    batch through one reused buffer: the working set is 1.25 times the
+    tableaux.
     """
     if not lps.size:
         return
-    T_all = tab.T
-    small = (tab.rhs, tab.z, tab.basis, tab.sign, tab.ub)
-    slot_lp = np.arange(T_all.shape[0])
-    n = lps.size
-    taking_part = np.zeros(slot_lp.size, dtype=bool)
-    taking_part[lps] = True
-    front = (~taking_part[:n]).nonzero()[0]
-    update = np.empty((max(2, (n + 3) // 4),) + T_all.shape[1:])
-
-    def trade(a, b):
-        step = update.shape[0] // 2
-        for i in range(0, a.size, step):
-            ai, bi = a[i:i + step], b[i:i + step]
-            k = ai.size
-            np.take(T_all, ai, axis=0, out=update[:k], mode="clip")
-            np.take(T_all, bi, axis=0, out=update[k:2 * k], mode="clip")
-            T_all[bi], T_all[ai] = update[:k], update[k:2 * k]
-        for arr in (*small, slot_lp):
-            arr[a], arr[b] = arr[b], arr[a]
-
-    def prefix():
-        return [arr[:n] for arr in (T_all, *small)]
-
-    # Move the LPs that take part to the front.
-    trade(front, lps[lps >= n])
-    max_iter, bland_after = tab.max_iter[slot_lp[:n]], tab.bland_after[slot_lp[:n]]
-    stall = np.zeros(n, dtype=np.int64)
-    bland = np.zeros(n, dtype=bool)
+    T, rhs, z, basis, sign, ub = tab.T, tab.rhs, tab.z, tab.basis, tab.sign, tab.ub
+    r = np.arange(T.shape[0])
+    live = np.zeros(r.size, dtype=bool)
+    live[lps] = True
+    stall = np.zeros(r.size, dtype=np.int64)
+    bland = np.zeros(r.size, dtype=bool)
+    update = np.empty(((r.size + 3) // 4,) + T.shape[1:])
     it = 0
 
-    def retire(done, status):
-        """Settle the LPs ``done`` and shrink the prefix; map old slots to new ones."""
-        nonlocal n, max_iter, bland_after, stall, bland
-        tab.settle(slot_lp[:n][done], status, it, phase)
-        live = n - int(done.sum())
-        holes = done[:live].nonzero()[0]
-        keep = np.arange(live)
-        keep[holes] = live + (~done[live:]).nonzero()[0]
-        trade(holes, keep[holes])
-        n = live
-        max_iter, bland_after, stall, bland = max_iter[keep], bland_after[keep], stall[keep], bland[keep]
-        return keep
-
-    while n:
-        it += 1
-        if (it > max_iter).any():
-            raise RuntimeError(f"simplex stalled after {it - 1} iterations")
-        T, rhs, z, basis, sign, ub = prefix()
-        improving = (ub > 0.0) & (sign * z > PIVOT_TOL)
-        done = ~improving.any(axis=1)
+    def settle(done, status) -> bool:
+        """Record that the live LPs ``done`` ended in ``status``; say if any LP is left."""
         if done.any():
-            improving = improving[retire(done, "optimal")]
-            if not n:
-                break
-            T, rhs, z, basis, sign, ub = prefix()
-        r = np.arange(n)
+            tab.settle(done.nonzero()[0], status, it, phase)
+            live[done] = False
+        return live.any()
+
+    while True:
+        it += 1
+        if (it > tab.max_iter[live]).any():
+            raise RuntimeError(f"simplex stalled after {it - 1} iterations")
+        improving = (ub > 0.0) & (sign * z > PIVOT_TOL)
+        if not settle(live & ~improving.any(axis=1), "optimal"):
+            return
         e = np.where(bland, improving.argmax(axis=1),
                      np.where(improving, np.abs(z), -1.0).argmax(axis=1))
         d = sign[r, e]
         col = d[:, None] * T[r, :, e]
 
         leave, t_best = _ratio_test(rhs, col, basis, ub, ub[r, e])
-        done = ~np.isfinite(t_best)
-        if done.any():
-            keep = retire(done, "unbounded")
-            if not n:
-                break
-            T, rhs, z, basis, sign, ub = prefix()
-            r = np.arange(n)
-            e, d, col, t_best, leave = e[keep], d[keep], col[keep], t_best[keep], leave[keep]
+        if not settle(live & ~np.isfinite(t_best), "unbounded"):
+            return
+        t_best[~live] = 0.0
 
         gain = np.abs(z[r, e]) * t_best
         stall = np.where(gain > 1e-12, 0, stall + 1)
-        bland |= stall > bland_after
+        bland |= stall > tab.bland_after
 
-        rhs -= t_best[:, None] * col
-        flips = leave < 0
+        np.subtract(rhs, t_best[:, None] * col, out=rhs, where=live[:, None])
+        flips = live & (leave < 0)
         sign[r[flips], e[flips]] = -d[flips]
-        # Pivot the LPs that did not flip a bound; the others' rows take no
-        # part (zero column, unit divisor) and stay untouched.
-        pivots = ~flips
+        # Pivot the live LPs that did not flip a bound; the others' rows take
+        # no part (zero column, unit divisor) and stay untouched.
+        pivots = live & ~flips
         if not pivots.any():
             continue
         p, lv, ep = r[pivots], leave[pivots], e[pivots]
@@ -401,44 +361,16 @@ def _iterate_batch(tab: _Tableaux, lps: np.ndarray, phase: int) -> None:
         T[p, lv] = prow[p]
         colv = T[r, :, e]
         colv[r, row] = 0.0
-        colv[flips] = 0.0
+        colv[~pivots] = 0.0
         h = update.shape[0]
-        for i in range(0, n, h):
-            j = min(i + h, n)
+        for i in range(0, r.size, h):
+            j = min(i + h, r.size)
             np.multiply(colv[i:j, :, None], prow[i:j, None, :], out=update[:j - i])
-            np.subtract(T[i:j], update[:j - i], out=T[i:j],
-                        where=True if p.size == n else pivots[i:j, None, None])
+            np.subtract(T[i:j], update[:j - i], out=T[i:j], where=pivots[i:j, None, None])
         np.subtract(z, z[r, e][:, None] * prow, out=z, where=pivots[:, None])
         rhs[p, lv] = enter_val
         basis[p, lv] = ep
         sign[p, ep] = 0.0
-
-    del update
-    # Send every LP back to its own slot. Phase 2 starts from the phase-1
-    # tableaux, but the finish reads none.
-    moved = (slot_lp != np.arange(slot_lp.size)).nonzero()[0]
-    for arr in small:
-        arr[slot_lp[moved]] = arr[moved]
-    if phase == 1:
-        _unshuffle(T_all, slot_lp)
-
-
-def _unshuffle(T, slot_lp) -> None:
-    """Move the tableau in each slot ``s`` of ``T`` to slot ``slot_lp[s]``, in
-    place: a cycle of the permutation at a time, through one spare tableau."""
-    lp_slot = np.argsort(slot_lp).tolist()
-    settled = (slot_lp == np.arange(slot_lp.size)).tolist()
-    for start in range(len(settled)):
-        if settled[start]:
-            continue
-        spare = T[start].copy()
-        dst, src = start, lp_slot[start]
-        while src != start:
-            T[dst] = T[src]
-            settled[dst] = True
-            dst, src = src, lp_slot[src]
-        T[dst] = spare
-        settled[dst] = True
 
 
 def _ratio_test(rhs, col, basis, ub, t_best):

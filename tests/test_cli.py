@@ -210,6 +210,7 @@ def test_main_validate_config_subcommand(tmp_path, capsys):
     (dict(slot_duration=0.0), "slot_duration must be > 0"),
     (dict(high_demand_fraction=1.5), "high_demand_fraction must be in [0, 1]"),
     (dict(beam_pitch_km=0.0), "beam_pitch_km must be > 0"),
+    (dict(rng_seed=-1), "rng_seed must be an integer >= 0"),
 ])
 def test_each_config_rule_reports_its_message(tmp_path, capsys, change, message):
     config = SystemConfig(**change)
@@ -251,6 +252,59 @@ def test_bad_solver_limit_is_a_config_error(tmp_path, tiny_config_file, capsys, 
     assert main(["run", "--config", tiny_config_file, "--out", str(out), *flags]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+def _refuse_constants(name):
+    raise ValueError(f"{name} in a JSON artifact")
+
+
+def test_unlit_cluster_gets_an_undefined_jain_index(tmp_path):
+    # With two slots per window both desk plans leave clusters unlit; an
+    # unlit cluster's users all have ratio 0, so its Jain index is 0/0.
+    with open(resolve_config_path("desk"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["slots_per_window"] = 2
+    path = tmp_path / "unlit.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    for name in os.listdir(out):
+        if name.endswith(".json"):
+            json.loads((out / name).read_text(), parse_constant=_refuse_constants)
+    unlit = [l for l, j in enumerate(json.loads((out / "metrics_bh.json").read_text())["jain_per_cluster"])
+             if j is None]
+    assert unlit
+    comparison = (out / "comparison.csv").read_text().splitlines()[1:]
+    metrics_csv = [row for row in (out / "metrics_bh.csv").read_text().splitlines()
+                   if row.startswith("cluster,")]
+    for l in unlit:
+        assert comparison[l].split(",")[-1] == metrics_csv[l].split(",")[-1] == ""
+
+
+def test_negative_seed_is_a_config_error(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "never"
+    assert main(["run", "--config", tiny_config_file, "--seed", "-3", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: rng_seed must be an integer >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_out_that_is_not_a_directory_is_a_config_error(tmp_path, tiny_config_file, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep me")
+    out = taken / "sub" if under else taken
+    assert main(["run", "--config", tiny_config_file, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --out {out}: {taken} is not a directory\n"
+    assert taken.read_bytes() == b"keep me"
+
+
+def test_artifact_that_cannot_be_written_is_a_config_error(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "out"
+    (out / "plan_bh.json").mkdir(parents=True)
+    assert main(["run", "--config", tiny_config_file, "--scheme", "bh", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write the artifacts: ") and err.count("\n") == 1
+    assert "plan_bh.json" in err
 
 
 def test_solver_error_exits_distinct_without_traceback(tmp_path, tiny_config_file, capsys, monkeypatch):

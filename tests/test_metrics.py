@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,21 @@ def test_report_additivity_exact(modcod):
     report = build_report(_StubPlan(supply), scenario)
     assert report.total_supply_bphw == float(supply.sum())
     assert report.total_demand_bphw == float(scenario.demand_matrix().sum())
+
+
+def test_all_zero_ratios_give_an_undefined_jain_index(modcod):
+    # Cluster 0 is unlit; the all-zero plan leaves every index undefined.
+    scenario = generate_scenario(desk_config(3))
+    supply = scenario.demand_matrix().copy()
+    supply[0] = 0.0
+    report = build_report(_StubPlan(supply), scenario)
+    assert np.isnan(report.jain_per_cluster[0]) and not np.isnan(report.jain_per_cluster[1:]).any()
+    assert json.loads(report_json(report))["jain_per_cluster"][0] is None
+    empty = build_report(_StubPlan(np.zeros_like(supply)), scenario)
+    doc = json.loads(report_json(empty))
+    assert doc["jain_per_cluster"] == [None] * 4
+    assert doc["jain_user_system"] is None and doc["jain_cluster_level"] is None
+    assert {row["jain"] for row in report_rows(empty, scenario) if row["scope"] != "user"} == {""}
 
 
 def test_zero_demand_is_a_configuration_error(modcod):
