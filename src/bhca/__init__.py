@@ -17,7 +17,6 @@ from .linkbudget import ModcodTable, RateTable, compute_rate_table
 from .model import (
     AllocationPlan,
     InfeasibleSolutionError,
-    LinearConstraint,
     ModelInstance,
     StructuralError,
     VariableCatalog,
@@ -39,7 +38,6 @@ __all__ = [
     "BhPlan",
     "ConfigError",
     "InfeasibleSolutionError",
-    "LinearConstraint",
     "LpSolution",
     "MetricsReport",
     "MilpSolution",

@@ -63,13 +63,11 @@ def _distinct(values: np.ndarray, render):
     return np.array(texts, dtype=object)[inverse].reshape(values.shape), max(map(len, texts), default=0)
 
 
-def _widest(names) -> int:
-    """Length of the longest of ``names``, measured from the heads and labels
-    of a ``GridNames``."""
-    if isinstance(names, GridNames):
-        return max((len(head) + len(axes) + sum(max(map(len, axis)) for axis in axes)
-                    for start, stop, head, axes in names.blocks() if stop > start), default=0)
-    return max(map(len, names), default=0)
+def _widest(names: GridNames) -> int:
+    """Length of the longest of ``names``, measured from its heads and
+    labels; no name is rendered."""
+    return max((len(head) + len(axes) + sum(max(map(len, axis)) for axis in axes)
+                for start, stop, head, axes in names.blocks() if stop > start), default=0)
 
 
 def _find(text: str, char: str) -> np.ndarray:
@@ -132,30 +130,25 @@ def _runs(indptr: np.ndarray):
         r0 = r1
 
 
-def _prefixes(tags):
+def _prefixes(tags: GridNames):
     """``(prefix, width)``: ``prefix(r0, r1)`` gives rows ``[r0, r1)`` their
     ``" <tag>:"`` prefixes as two object arrays, a lead and an end, and no
     prefix is longer than ``width``.
 
-    A ``GridNames`` block ``head`` over ``axes`` leads with
-    ``label_product(" " + head, axes[:-1])`` and ends with its last axis's
-    labels and ``":"``, so no tag is built; tags given as a list lead with
-    ``" " + tag``. The tags are checked here (``_check_one_token``), a
-    ``GridNames`` block through its head and labels, rendered only on a hit.
+    A block ``head`` over ``axes`` leads with ``label_product(" " + head,
+    axes[:-1])`` and ends with its last axis's labels and ``":"``, so no
+    tag is built. The tags are checked here (``_check_one_token``) through
+    their heads and labels, and rendered only on a hit.
     """
     leads, ends, at = [], [], []
-    if isinstance(tags, GridNames):
-        blocks = tags.blocks()
-        text = "".join(head + "".join(itertools.chain.from_iterable(axes)) for _, _, head, axes in blocks)
-        for start, stop, head, axes in blocks:
-            if stop > start:
-                end = [f"_{label}:" for label in axes[-1]] if axes else [":"]
-                at.append((start, len(end), len(leads), len(ends)))
-                leads += label_product(" " + head, axes[:-1]).tolist()
-                ends += end
-    else:
-        listed = list(tags)
-        text, leads, ends, at = "".join(listed), [" " + tag for tag in listed], [":"], [(0, 1, 0, 0)]
+    blocks = tags.blocks()
+    text = "".join(head + "".join(itertools.chain.from_iterable(axes)) for _, _, head, axes in blocks)
+    for start, stop, head, axes in blocks:
+        if stop > start:
+            end = [f"_{label}:" for label in axes[-1]] if axes else [":"]
+            at.append((start, len(end), len(leads), len(ends)))
+            leads += label_product(" " + head, axes[:-1]).tolist()
+            ends += end
     if _flaw(text):
         _check_one_token("row", list(tags))
     width = max(map(len, leads), default=0) + max(map(len, ends), default=0)
@@ -315,18 +308,15 @@ def _grid_names_distinct(names: GridNames) -> bool:
                     for axis in axes))
 
 
-def _check_distinct(kind: str, names) -> None:
+def _check_distinct(kind: str, names: GridNames) -> None:
     """Raise ``ValueError`` naming the first name ``names`` holds twice:
     ``parse_lp`` refuses a second row or bounds line of one name, and merges
-    the terms of a repeated column. A ``GridNames`` is rendered only when its
-    heads and labels cannot prove it distinct (``_grid_names_distinct``)."""
-    if isinstance(names, GridNames) and _grid_names_distinct(names):
-        return
-    listed = list(names)
-    if len(set(listed)) == len(listed):
+    the terms of a repeated column. The names are rendered only when their
+    heads and labels cannot prove them distinct (``_grid_names_distinct``)."""
+    if _grid_names_distinct(names):
         return
     seen = set()
-    for name in listed:
+    for name in names:
         if name in seen:
             raise ValueError(f"{kind} {name!r} appears twice; the LP format names every {kind} once")
         seen.add(name)
@@ -343,8 +333,7 @@ def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
     listed = names.tolist()
     _check_one_token("column", listed)
     _check_column_tokens(listed)
-    catalog_names = model.catalog.names
-    _check_distinct("column", catalog_names if isinstance(catalog_names, GridNames) else listed)
+    _check_distinct("column", model.catalog.names)
     _check_distinct("row", model.tags)
     bad = ~np.isfinite(model.lower) | ~(model.upper > -np.inf) | ~np.isfinite(model.objective)
     if bad.any():

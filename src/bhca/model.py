@@ -3,8 +3,10 @@
 The model couples carrier-user assignment (binary ``a``), carrier fill-rates
 (continuous ``beta``), cluster illumination per slot (binary ``z``), and the
 ``q = beta * z`` linearization products, under the max-min scalarized
-objective ``theta + eps_obj * (sum tU + tL)``. Constraint families carry
-stable ``C1..C9`` tags so audits and the LP export can name every row.
+objective ``theta + eps_obj * (sum tU + tL)``. Every model's rows come from
+``RowBuilder`` blocks, whose ``GridNames`` tags (``C1..C9`` here) let audits
+and the LP export name every row; a hand-written row is a block without
+axes, ``rows.add(tag, (), cols, coefs, sense, rhs)``.
 """
 from __future__ import annotations
 
@@ -105,20 +107,6 @@ class BaselineCatalog:
 
     def z_col(self, l: int, t: int) -> int:
         return int(self.z[l, t])
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """One hand-written sparse row: sum(coefs * x[cols]) <sense> rhs.
-
-    ``ModelInstance.from_constraints`` packs a list of them into a model.
-    """
-
-    cols: tuple[int, ...]
-    coefs: tuple[float, ...]
-    sense: str
-    rhs: float
-    tag: str
 
 
 def index_labels(prefix: str, n: int) -> tuple[str, ...]:
@@ -236,13 +224,16 @@ class RowBuilder:
         self.add("C6", (pair_labels, slot_labels), stack_terms(z[first], z[second]), 1.0, LESS, 1.0)
 
     def arrays(self) -> dict:
-        """The ``ModelInstance`` row fields."""
+        """The ``ModelInstance`` row fields; a builder without blocks gives no rows."""
+        def joined(parts, dtype):
+            return np.concatenate([np.empty(0, dtype=dtype), *parts])
+
         return dict(
-            indptr=np.concatenate([[0], np.cumsum(np.concatenate(self.counts), dtype=np.int64)]),
-            cols=np.concatenate(self.cols),
-            coefs=np.concatenate(self.coefs),
-            senses=np.concatenate(self.senses),
-            rhs=np.concatenate(self.rhs),
+            indptr=np.concatenate([[0], np.cumsum(joined(self.counts, np.int64), dtype=np.int64)]),
+            cols=joined(self.cols, np.int64),
+            coefs=joined(self.coefs, float),
+            senses=joined(self.senses, "<U2"),
+            rhs=joined(self.rhs, float),
             tags=GridNames(self.blocks),
         )
 
@@ -273,8 +264,9 @@ class ModelInstance:
 
     Rows are stored CSR-style: row ``i`` reads
     ``sum(coefs[k] * x[cols[k]] for k in range(indptr[i], indptr[i + 1]))
-    senses[i] rhs[i]`` and is named ``tags[i]``. Zero coefficients are never
-    stored.
+    senses[i] rhs[i]`` and is named ``tags[i]``. The rows come from
+    ``RowBuilder.arrays``: zero coefficients are never stored, and ``tags``
+    is a ``GridNames``, as the catalog's ``names`` is.
     """
 
     catalog: object
@@ -283,7 +275,7 @@ class ModelInstance:
     coefs: np.ndarray
     senses: np.ndarray
     rhs: np.ndarray
-    tags: Sequence[str]
+    tags: GridNames
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -296,24 +288,6 @@ class ModelInstance:
     pairs: frozenset | None = None
     active_clusters_per_slot: int | None = None
     delta_max: int | None = None
-
-    @classmethod
-    def from_constraints(cls, catalog, constraints, **fields) -> "ModelInstance":
-        """A model whose rows are the given ``LinearConstraint`` list; an
-        unknown sense raises ``ValueError`` naming the row."""
-        for r in constraints:
-            if r.sense not in SENSES:
-                raise ValueError(f"row {r.tag} has sense {r.sense!r}; expected one of {SENSES}")
-        return cls(
-            catalog=catalog,
-            indptr=np.cumsum([0, *(len(r.cols) for r in constraints)], dtype=np.int64),
-            cols=np.array([c for r in constraints for c in r.cols], dtype=np.int64),
-            coefs=np.array([v for r in constraints for v in r.coefs], dtype=float),
-            senses=np.array([r.sense for r in constraints], dtype="<U2"),
-            rhs=np.array([r.rhs for r in constraints], dtype=float),
-            tags=tuple(r.tag for r in constraints),
-            **fields,
-        )
 
     @property
     def num_cols(self) -> int:

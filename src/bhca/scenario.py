@@ -120,6 +120,8 @@ class SystemConfig:
             diags.append("high_demand_fraction must be in [0, 1]")
         if self.beam_pitch_km <= 0:
             diags.append("beam_pitch_km must be > 0")
+        if self.reference_spectral_efficiency <= 0:
+            diags.append("reference_spectral_efficiency must be > 0")
         if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
             diags.append("rng_seed must be an integer >= 0")
         return diags
@@ -183,9 +185,19 @@ def config_from_dict(doc: dict) -> SystemConfig:
     return SystemConfig(**kwargs)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its members; a key given twice raises ConfigError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"repeated config key: {key}")
+        doc[key] = value
+    return doc
+
+
 def load_config(path) -> SystemConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     return config_from_dict(doc)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,7 +173,11 @@ def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, key, val
     (None, "cannot read config: [Errno 2] No such file or directory: '{path}'"),
     (b"[1, 2]", "config document must be a JSON object"),
     (b"\xff\xfe{}", "config is not UTF-8 text: invalid start byte at byte 0"),
-], ids=["missing-file", "not-an-object", "not-utf8"])
+    # json.load keeps the last of two equal keys, so this desk config used
+    # to validate clean and run with delta_max 1.
+    (Path(resolve_config_path("desk")).read_bytes().replace(b'"rng_seed"', b'"delta_max": 1, "rng_seed"'),
+     "repeated config key: delta_max"),
+], ids=["missing-file", "not-an-object", "not-utf8", "repeated-key"])
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, doc, message):
     path = tmp_path / "config.json"
     if doc is not None:
@@ -211,6 +216,10 @@ def test_main_validate_config_subcommand(tmp_path, capsys):
     (dict(high_demand_fraction=1.5), "high_demand_fraction must be in [0, 1]"),
     (dict(beam_pitch_km=0.0), "beam_pitch_km must be > 0"),
     (dict(rng_seed=-1), "rng_seed must be an integer >= 0"),
+    # Demands scale with this factor; 0 or less used to pass validation and
+    # then end the run in build_model with a StructuralError traceback.
+    (dict(reference_spectral_efficiency=0.0), "reference_spectral_efficiency must be > 0"),
+    (dict(reference_spectral_efficiency=-1.0), "reference_spectral_efficiency must be > 0"),
 ])
 def test_each_config_rule_reports_its_message(tmp_path, capsys, change, message):
     config = SystemConfig(**change)
@@ -219,6 +228,10 @@ def test_each_config_rule_reports_its_message(tmp_path, capsys, change, message)
     path.write_text(json.dumps(config.to_dict()))
     assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
     assert capsys.readouterr().out == message + "\n"
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_main_run_subcommand(tmp_path, tiny_config_file):

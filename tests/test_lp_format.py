@@ -13,7 +13,7 @@ from bhca.cli import resolve_config_path
 from bhca.lp_format import ParsedLp, export_lp, model_canonical_rows, parse_lp, round_trip_matches
 from bhca.baseline import build_bh_model
 from bhca.linkbudget import compute_rate_table
-from bhca.model import EQUAL, GREATER, LESS, GridNames, LinearConstraint, ModelInstance, RowBuilder
+from bhca.model import EQUAL, GREATER, LESS, GridNames, ModelInstance, RowBuilder
 from bhca.scenario import adjacency_pairs, generate_scenario, load_config
 from bhca.solver import solve_lp
 
@@ -170,29 +170,28 @@ def test_export_mentions_constraint_tags(tiny_bundle):
 
 
 class _Columns:
-    """Catalog stand-in whose columns carry the given names."""
+    """Catalog stand-in whose columns carry the given names, one block each."""
 
     def __init__(self, names):
-        self.names = list(names)
+        self.names = GridNames([(name, ()) for name in names])
 
 
 def _edge_model():
     n = 30
     first14 = tuple(range(14))
-    rows = [
-        LinearConstraint(first14, (1.0,) * 14, LESS, 1.0, "exactly_220_chars"),
-        LinearConstraint(first14, (1.0,) * 14, LESS, 1.0, "one_wider_than_220"),
-        LinearConstraint((), (), GREATER, -0.0, "empty"),
-        LinearConstraint((0, 1, 2, 3, 4), (-2.5, 1e15, -0.0, 3.0, 0.1), EQUAL, 1e16, "mixed"),
-        LinearConstraint((5,), (-1.0,), GREATER, -7.25, "negative"),
-        LinearConstraint(tuple(range(n)), tuple(-0.001 * (j + 1) for j in range(n)), LESS, 2.0**60, "long"),
-        LinearConstraint(tuple(range(n)), (1.0,) * n, LESS, 1.0, "continued"),
-        LinearConstraint(tuple(range(n)), (0.25,) * n, LESS, 1.0, "two_full_row"),
-    ]
+    rows = RowBuilder()
+    rows.add("exactly_220_chars", (), first14, 1.0, LESS, 1.0)
+    rows.add("one_wider_than_220", (), first14, 1.0, LESS, 1.0)
+    rows.add("empty", (), [], 1.0, GREATER, -0.0)
+    rows.add("mixed", (), [0, 1, 2, 3, 4], [-2.5, 1e15, -0.0, 3.0, 0.1], EQUAL, 1e16)  # -0.0 is not stored
+    rows.add("negative", (), [5], -1.0, GREATER, -7.25)
+    rows.add("long", (), np.arange(n), -0.001 * (np.arange(n) + 1), LESS, 2.0**60)
+    rows.add("continued", (), np.arange(n), 1.0, LESS, 1.0)
+    rows.add("two_full_row", (), np.arange(n), 0.25, LESS, 1.0)
     lower, upper = np.zeros(n), np.ones(n)
     lower[25:], upper[25:] = [-5.0, 1.0, 0.0, 0.0, 0.0], [2.5, np.inf, 1e15, 1.0, np.inf]
-    return ModelInstance.from_constraints(
-        _Columns(f"x{j:08d}" for j in range(n)), rows, objective=(np.arange(n) - 10) * 0.5,
+    return ModelInstance(
+        catalog=_Columns(f"x{j:08d}" for j in range(n)), **rows.arrays(), objective=(np.arange(n) - 10) * 0.5,
         lower=lower, upper=upper, binary=np.arange(n) < 25,
     )
 
@@ -201,7 +200,8 @@ _TERMS14 = "".join(f" + 1 x{j:08d}" for j in range(14))
 
 # export_lp of _edge_model, pinned from the per-row implementation. Rows,
 # the objective and Binaries fold at 220 characters; numbers of 1e15 and
-# more are written with repr, -0.0 as 0.
+# more are written with repr, -0.0 as 0. A zero coefficient is not stored,
+# so "mixed" has no x00000002 term.
 EDGE_EXPORT = "\n".join([
     "\\ Problem: bhca",
     "Maximize",
@@ -217,8 +217,7 @@ EDGE_EXPORT = "\n".join([
     f" one_wider_than_220:{_TERMS14} <=",
     "  1",
     " empty: >= 0",
-    " mixed: - 2.5 x00000000 + 1000000000000000.0 x00000001 + 0 x00000002 + 3 x00000003"
-    " + 0.1 x00000004 = 1e+16",
+    " mixed: - 2.5 x00000000 + 1000000000000000.0 x00000001 + 3 x00000003 + 0.1 x00000004 = 1e+16",
     " negative: - 1 x00000005 >= -7.25",
     " long: - 0.001 x00000000 - 0.002 x00000001 - 0.003 x00000002 - 0.004 x00000003 - 0.005 x00000004"
     " - 0.006 x00000005 - 0.007 x00000006 - 0.008 x00000007 - 0.009000000000000001 x00000008"
@@ -303,18 +302,17 @@ def _non_ascii_model():
     Multilingual Plane, in rows that fold and rows between them."""
     n = 24
     names = [f"β{j:02d}" if j % 2 else f"𝛽{j:02d}_ü" for j in range(n)]
-    rows = [
-        LinearConstraint((0, 1), (1.0, -2.0), LESS, 1.0, "ratio_é"),
-        LinearConstraint(tuple(range(n)), (0.5,) * n, GREATER, 0.0, "Σ_wide"),
-        LinearConstraint((2,), (1.0,), EQUAL, 0.5, "plain"),
-        LinearConstraint(tuple(range(n)), tuple(-1.25 - j for j in range(n)), LESS, 3.0, "𝛽_wide_too"),
-        LinearConstraint((n - 1,), (2.0,), LESS, 4.0, "last_ö"),
-    ]
+    rows = RowBuilder()
+    rows.add("ratio_é", (), [0, 1], [1.0, -2.0], LESS, 1.0)
+    rows.add("Σ_wide", (), np.arange(n), 0.5, GREATER, 0.0)
+    rows.add("plain", (), [2], 1.0, EQUAL, 0.5)
+    rows.add("𝛽_wide_too", (), np.arange(n), -1.25 - np.arange(n), LESS, 3.0)
+    rows.add("last_ö", (), [n - 1], 2.0, LESS, 4.0)
     lower, upper = np.zeros(n), np.ones(n)
     upper[20:] = [2.0, np.inf, 7.5, np.inf]
     lower[21] = -1.0
-    return ModelInstance.from_constraints(
-        _Columns(names), rows, objective=np.linspace(-3.0, 3.0, n),
+    return ModelInstance(
+        catalog=_Columns(names), **rows.arrays(), objective=np.linspace(-3.0, 3.0, n),
         lower=lower, upper=upper, binary=np.arange(n) < 20,
     )
 
@@ -367,8 +365,10 @@ def test_non_ascii_names_fold_by_characters():
 
 def test_a_token_wider_than_a_line_gets_a_line_of_its_own():
     wide = "w" * 230
-    model = ModelInstance.from_constraints(
-        _Columns([wide, "x"]), [LinearConstraint((0, 1), (1.0, 1.0), LESS, 1.0, "wide")],
+    rows = RowBuilder()
+    rows.add("wide", (), [0, 1], 1.0, LESS, 1.0)
+    model = ModelInstance(
+        catalog=_Columns([wide, "x"]), **rows.arrays(),
         objective=np.ones(2), lower=np.zeros(2), upper=np.ones(2), binary=np.ones(2, dtype=bool),
     )
     assert export_lp(model) == "\n".join([
@@ -379,8 +379,8 @@ def test_a_token_wider_than_a_line_gets_a_line_of_its_own():
 
 
 def test_model_without_rows_exports_empty_sections():
-    model = ModelInstance.from_constraints(
-        _Columns(["u", "v"]), [], objective=np.zeros(2),
+    model = ModelInstance(
+        catalog=_Columns(["u", "v"]), **RowBuilder().arrays(), objective=np.zeros(2),
         lower=np.array([0.0, -1.5]), upper=np.full(2, np.inf), binary=np.zeros(2, dtype=bool),
     )
     text = export_lp(model)
@@ -393,12 +393,11 @@ def _run_edge_model():
     short rows, so small runs start and end at folded rows."""
     n = 30
     sizes = (0, 2, 30, 1, 3, 30, 30, 2, 0)
-    rows = [
-        LinearConstraint(tuple(range(k)), (0.5,) * k, (LESS, GREATER, EQUAL)[i % 3], float(i), f"r{i}")
-        for i, k in enumerate(sizes)
-    ]
-    return ModelInstance.from_constraints(
-        _Columns(f"x{j:08d}" for j in range(n)), rows, objective=np.ones(n),
+    rows = RowBuilder()
+    for i, k in enumerate(sizes):
+        rows.add(f"r{i}", (), np.arange(k), 0.5, (LESS, GREATER, EQUAL)[i % 3], float(i))
+    return ModelInstance(
+        catalog=_Columns(f"x{j:08d}" for j in range(n)), **rows.arrays(), objective=np.ones(n),
         lower=np.zeros(n), upper=np.ones(n), binary=np.ones(n, dtype=bool),
     )
 
@@ -477,13 +476,15 @@ def test_templated_blocks_match_the_run_path(monkeypatch, run_terms):
 
 def test_grid_names_catalog_folds_like_its_list():
     # The fold scan is skipped only when the longest names could not make a
-    # line wider than 220; a GridNames catalog is measured from its heads and
-    # labels. The row is 221 characters wide, so it must fold either way.
+    # line wider than 220; a catalog is measured from its heads and labels,
+    # here once as one block over an axis and once as its names listed one
+    # block each. The row is 221 characters wide, so it must fold either way.
     names = GridNames([("x", (tuple(f"{j:02d}" for j in range(24)),))])
-    row = LinearConstraint(tuple(range(22)), (1.0,) * 22, LESS, 1.0, "t" * 16)
+    rows = RowBuilder()
+    rows.add("t" * 16, (), np.arange(22), 1.0, LESS, 1.0)
     catalog = _Columns(names)
-    model = ModelInstance.from_constraints(
-        catalog, [row], objective=np.ones(24), lower=np.zeros(24), upper=np.ones(24),
+    model = ModelInstance(
+        catalog=catalog, **rows.arrays(), objective=np.ones(24), lower=np.zeros(24), upper=np.ones(24),
         binary=np.zeros(24, dtype=bool),
     )
     listed = export_lp(model)
@@ -509,8 +510,12 @@ def test_export_memory_stays_near_its_text(modcod):
 
 def _two_column_model(lower=(0.0, 0.0), upper=(np.inf, 1.0), objective=(1.0, 1.0), coef=1.0, rhs=1.0,
                       sense=LESS, names=("u", "v"), tag="r1"):
-    return ModelInstance.from_constraints(
-        _Columns(names), [LinearConstraint((0, 1), (1.0, coef), sense, rhs, tag)],
+    rows = RowBuilder()
+    rows.add(tag, (), [0, 1], [1.0, coef], LESS, rhs)
+    # RowBuilder refuses an unknown sense, so the row's sense is set in the
+    # model's senses array: export_lp's own check is what meets it.
+    return ModelInstance(
+        catalog=_Columns(names), **{**rows.arrays(), "senses": np.array([sense])},
         objective=np.array(objective), lower=np.array(lower), upper=np.array(upper),
         binary=np.zeros(2, dtype=bool),
     )
@@ -566,10 +571,12 @@ def test_export_names_what_the_format_cannot_carry(change, match):
 
 def test_export_refuses_a_repeated_row_tag():
     # parse_lp refuses a second row of one name, so the export writes none.
-    rows = [LinearConstraint((0,), (1.0,), LESS, 1.0, "r"), LinearConstraint((1,), (1.0,), LESS, 2.0, "r")]
-    model = ModelInstance.from_constraints(
-        _Columns(("u", "v")), rows, objective=np.ones(2), lower=np.zeros(2), upper=np.ones(2),
-        binary=np.zeros(2, dtype=bool),
+    rows = RowBuilder()
+    rows.add("r", (), [0], 1.0, LESS, 1.0)
+    rows.add("r", (), [1], 1.0, LESS, 2.0)
+    model = ModelInstance(
+        catalog=_Columns(("u", "v")), **rows.arrays(), objective=np.ones(2), lower=np.zeros(2),
+        upper=np.ones(2), binary=np.zeros(2, dtype=bool),
     )
     with pytest.raises(ValueError, match="row 'r' appears twice"):
         export_lp(model)
@@ -588,10 +595,12 @@ def test_grid_names_are_checked_for_repeats(kind, blocks, repeated):
     # are rendered, and a name that appears twice is refused.
     names = GridNames(blocks)
     n = len(names)
-    rows = [LinearConstraint((j,), (1.0,), LESS, 1.0, f"x{j}") for j in range(n)]
+    rows = RowBuilder()
+    for j in range(n):
+        rows.add(f"x{j}", (), [j], 1.0, LESS, 1.0)
     catalog = _Columns(f"x{j}" for j in range(n))
-    model = ModelInstance.from_constraints(
-        catalog, rows, objective=np.ones(n), lower=np.zeros(n), upper=np.full(n, 2.0),
+    model = ModelInstance(
+        catalog=catalog, **rows.arrays(), objective=np.ones(n), lower=np.zeros(n), upper=np.full(n, 2.0),
         binary=np.zeros(n, dtype=bool),
     )
     if kind == "row":
@@ -608,8 +617,10 @@ def test_grid_names_are_checked_for_repeats(kind, blocks, repeated):
 def test_names_that_only_look_like_numbers_round_trip():
     names = ["e", "1e", "E5x", "inf_1", "infinit", "nan1", "n", "i", "+x", "-1x", ".x", "1_", "_1",
              "1__0", "x:y", ":x", "<", "=>", "x1"]
-    model = ModelInstance.from_constraints(
-        _Columns(names), [LinearConstraint(tuple(range(len(names))), (1.0,) * len(names), LESS, 1.0, "r")],
+    rows = RowBuilder()
+    rows.add("r", (), np.arange(len(names)), 1.0, LESS, 1.0)
+    model = ModelInstance(
+        catalog=_Columns(names), **rows.arrays(),
         objective=np.ones(len(names)), lower=np.zeros(len(names)), upper=np.full(len(names), 2.0),
         binary=np.zeros(len(names), dtype=bool),
     )

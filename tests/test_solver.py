@@ -12,8 +12,9 @@ from bhca.linkbudget import compute_rate_table
 from bhca.model import (
     LESS,
     GREATER,
-    LinearConstraint,
+    GridNames,
     ModelInstance,
+    RowBuilder,
     build_model,
     validate_solution,
 )
@@ -299,14 +300,15 @@ def test_brute_force_refuses_large_models(desk_bundle):
 
 
 def test_brute_force_requires_planner_model():
-    rows = (LinearConstraint((0,), (1.0,), LESS, 1.0, "R1"),)
+    rows = RowBuilder()
+    rows.add("R1", (), [0], 1.0, LESS, 1.0)
 
     class MiniCatalog:
         num_cols = 1
-        names = ("x",)
+        names = GridNames([("x", ())])
 
-    model = ModelInstance.from_constraints(
-        MiniCatalog(), rows, objective=np.ones(1),
+    model = ModelInstance(
+        catalog=MiniCatalog(), **rows.arrays(), objective=np.ones(1),
         lower=np.zeros(1), upper=np.ones(1), binary=np.ones(1, dtype=bool),
     )
     with pytest.raises(ValueError, match="planner model"):
@@ -314,17 +316,16 @@ def test_brute_force_requires_planner_model():
 
 
 def test_infeasible_generic_model_reports_infeasible():
-    rows = (
-        LinearConstraint((0,), (1.0,), GREATER, 0.6, "lo"),
-        LinearConstraint((0,), (1.0,), LESS, 0.4, "hi"),
-    )
+    rows = RowBuilder()
+    rows.add("lo", (), [0], 1.0, GREATER, 0.6)
+    rows.add("hi", (), [0], 1.0, LESS, 0.4)
 
     class MiniCatalog:
         num_cols = 1
-        names = ("x",)
+        names = GridNames([("x", ())])
 
-    model = ModelInstance.from_constraints(
-        MiniCatalog(), rows, objective=np.ones(1),
+    model = ModelInstance(
+        catalog=MiniCatalog(), **rows.arrays(), objective=np.ones(1),
         lower=np.zeros(1), upper=np.ones(1), binary=np.ones(1, dtype=bool),
     )
     sol = solve_milp(model)
@@ -398,7 +399,7 @@ def _highs(model):
     A = sparse.csr_array((model.coefs, model.cols, model.indptr), shape=(model.num_rows, model.num_cols))
     res = optimize.milp(
         -model.objective,
-        constraints=optimize.LinearConstraint(
+        constraints=(
             A, np.where(model.senses == LESS, -np.inf, model.rhs),
             np.where(model.senses == GREATER, np.inf, model.rhs),
         ),
