@@ -57,16 +57,9 @@ def cluster_slot_capacity(scenario: Scenario, rates: RateTable) -> np.ndarray:
     """
     own = own_beam(scenario)
     pool = own | ~own.any(axis=2, keepdims=True)
-    # Each carrier's pool as a run of one flat array, behind a 0.0 of its
-    # own: reduceat then sums a run as ``np.mean`` sums the pool alone (from
-    # 0.0, pairwise), where a masked sum over all users would group the
-    # terms differently and move the last bits.
-    lead = [(0, 0), (0, 0), (1, 0)]
-    runs = np.pad(rates.rate_per_slot, lead)[np.pad(pool, lead, constant_values=True)]
-    size = pool.sum(axis=2)
-    width = (size + 1).ravel()
-    sums = np.add.reduceat(runs, np.cumsum(width) - width).reshape(size.shape)
-    return (sums / size).sum(axis=1)
+    means = [[rate[users].mean() for rate, users in zip(cluster_rates, cluster_pool)]
+             for cluster_rates, cluster_pool in zip(rates.rate_per_slot, pool)]
+    return np.array(means).sum(axis=1)
 
 
 def build_bh_model(scenario: Scenario, rates: RateTable, pairs) -> ModelInstance:

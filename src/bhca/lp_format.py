@@ -13,8 +13,9 @@ that every row of the run holds is one string. A run is searched for
 lines to fold only when its longest pieces could make a line wider than
 the fold width. The run size does not change the bytes. The writer
 refuses a name the reader would not read back: one holding whitespace or
-a ``\\``, or a column name that reads as a number, sign, sense or row
-start. The reader accepts only the constructs the writer emits.
+a ``\\``, a column name that reads as a number, sign, sense or row start,
+or a name given twice. One function checks the names, from each block's
+head and labels. The reader accepts only the constructs the writer emits.
 """
 from __future__ import annotations
 
@@ -137,20 +138,15 @@ def _prefixes(tags: GridNames):
 
     A block ``head`` over ``axes`` leads with ``label_product(" " + head,
     axes[:-1])`` and ends with its last axis's labels and ``":"``, so no
-    tag is built. The tags are checked here (``_check_one_token``) through
-    their heads and labels, and rendered only on a hit.
+    tag is built.
     """
     leads, ends, at = [], [], []
-    blocks = tags.blocks()
-    text = "".join(head + "".join(itertools.chain.from_iterable(axes)) for _, _, head, axes in blocks)
-    for start, stop, head, axes in blocks:
+    for start, stop, head, axes in tags.blocks():
         if stop > start:
             end = [f"_{label}:" for label in axes[-1]] if axes else [":"]
             at.append((start, len(end), len(leads), len(ends)))
             leads += label_product(" " + head, axes[:-1]).tolist()
             ends += end
-    if _flaw(text):
-        _check_one_token("row", list(tags))
     width = max(map(len, leads), default=0) + max(map(len, ends), default=0)
     leads, ends, at = np.array(leads, dtype=object), np.array(ends, dtype=object), np.array(at, dtype=np.int64)
 
@@ -244,22 +240,10 @@ def _flaw(name: str) -> str | None:
     return None
 
 
-def _check_one_token(kind: str, names: list[str]) -> None:
-    """Raise ``ValueError`` naming the first of ``names`` with a ``_flaw``:
-    every name must be one token on one line, outside any comment. The names
-    are checked as one joined text, and one by one only on a hit."""
-    if _flaw("".join(names)):
-        name = next(n for n in names if _flaw(n))
-        raise ValueError(
-            f"{kind} {name!r} holds {_flaw(name)}; the LP format writes every name as one token on "
-            "one line, outside any comment"
-        )
-
-
-# A line of "\n".join(["", *names, ""]) that starts so, or ends in ":", may
-# hold a name parse_lp misreads (``_misread``): a number, as float() reads
-# it, starts with a sign, a point, a decimal digit, "i" or "n" (inf, nan).
-_MISREAD_LEAD = re.compile(r"\n(?=[-+.<>=\d\niInN])")
+# A column name starts with one of these if float() may read it (a sign, a
+# point, a decimal digit, "i" or "n" for inf and nan) or if it is a sign or
+# a sense; see ``_check_names``.
+_MISREAD_LEAD = re.compile(r"[-+.<>=\diInN]")
 
 
 def _misread(name: str) -> str | None:
@@ -279,41 +263,42 @@ def _misread(name: str) -> str | None:
     return "a number"
 
 
-def _check_column_tokens(names: list[str]) -> None:
-    """Raise ``ValueError`` naming the first of ``names``, one token each,
-    that ``parse_lp`` would not read back as a column name. The names are
-    scanned as one joined text; only the lines it flags are read one by one."""
-    text = "\n".join(["", *names, ""])
-    starts = [hit.end() for hit in _MISREAD_LEAD.finditer(text)]
-    if ":\n" in text:
-        starts = sorted(starts + [text.rindex("\n", 0, hit.start()) + 1 for hit in re.finditer(":\n", text)])
-    for at in starts:
-        name = text[at:text.index("\n", at)]
-        why = _misread(name)
-        if why:
-            raise ValueError(f"column {name!r} reads as {why} in the LP format, not as a name")
+def _check_names(kind: str, names: GridNames) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` holding a ``_flaw``,
+    then, for columns, the first ``parse_lp`` would misread (``_misread``),
+    then the first that appears twice: ``parse_lp`` refuses a second row or
+    bounds line of one name, and merges the terms of a repeated column.
 
-
-def _grid_names_distinct(names: GridNames) -> bool:
-    """Whether the heads and labels of ``names`` prove every name distinct,
-    without rendering one: the heads differ and hold no ``_``, and each
-    axis's labels differ and hold equally many ``_``. Split at its ``_``, a
-    name then starts with its block's head, and each axis's label fills the
-    same places in every name of the block."""
-    blocks = names.blocks()
-    heads = [head for _, _, head, _ in blocks]
-    axes = [axis for _, _, _, block_axes in blocks for axis in block_axes]
-    return (len(set(heads)) == len(heads) and "_" not in "".join(heads)
+    A name is its block's head, then ``_`` and one label per axis, so a block
+    is checked through its head and labels, and its names are rendered only
+    to name a bad one or when these cannot prove it sound. A name holds
+    whitespace or a ``\\`` only if its head or a label does. It starts with
+    its head (with ``_`` after an empty one) and ends with a last-axis label
+    (the head, without axes), so only a block whose head is empty or starts
+    as a number, sign or sense does, or whose names can end in ``":"``, may
+    hold a misread name. Names are distinct when the heads differ and hold
+    no ``_``, and each axis's labels differ and hold equally many ``_``:
+    split at its ``_``, a name then starts with its head, and each axis's
+    label fills the same places in every name of its block.
+    """
+    blocks = [(head, axes) for start, stop, head, axes in names.blocks() if stop > start]
+    if _flaw("".join(head + "".join(itertools.chain.from_iterable(axes)) for head, axes in blocks)):
+        name = next(n for n in names if _flaw(n))
+        raise ValueError(
+            f"{kind} {name!r} holds {_flaw(name)}; the LP format writes every name as one token on "
+            "one line, outside any comment"
+        )
+    for head, axes in blocks if kind == "column" else ():
+        ends = axes[-1] if axes else (head,)
+        if not head or _MISREAD_LEAD.match(head) or any(end.endswith(":") for end in ends):
+            for name in label_product(head, axes).tolist():
+                why = _misread(name)
+                if why:
+                    raise ValueError(f"column {name!r} reads as {why} in the LP format, not as a name")
+    heads = [head for head, _ in blocks]
+    if (len(set(heads)) == len(heads) and "_" not in "".join(heads)
             and all(len(set(axis)) == len(axis) and len({label.count("_") for label in axis}) <= 1
-                    for axis in axes))
-
-
-def _check_distinct(kind: str, names: GridNames) -> None:
-    """Raise ``ValueError`` naming the first name ``names`` holds twice:
-    ``parse_lp`` refuses a second row or bounds line of one name, and merges
-    the terms of a repeated column. The names are rendered only when their
-    heads and labels cannot prove them distinct (``_grid_names_distinct``)."""
-    if _grid_names_distinct(names):
+                    for _, axes in blocks for axis in axes)):
         return
     seen = set()
     for name in names:
@@ -324,17 +309,12 @@ def _check_distinct(kind: str, names: GridNames) -> None:
 
 def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first column or row holding a name or
-    number the dialect cannot carry: a name is one token (``_check_one_token``;
-    ``_prefixes`` checks the tags), appears once among the columns or the
-    rows (``_check_distinct``), and a column name reads as a name, not as a
-    number, sign, sense or row start; a column has no free or ``-inf`` bound
-    form, a row's sense is one of ``<=``, ``>=`` and ``=``, and a
-    coefficient or rhs must be finite."""
-    listed = names.tolist()
-    _check_one_token("column", listed)
-    _check_column_tokens(listed)
-    _check_distinct("column", model.catalog.names)
-    _check_distinct("row", model.tags)
+    number the dialect cannot carry: the column names and then the row tags
+    are checked first (``_check_names``); then a column has no free or
+    ``-inf`` bound form, a row's sense is one of ``<=``, ``>=`` and ``=``,
+    and a coefficient or rhs must be finite."""
+    _check_names("column", model.catalog.names)
+    _check_names("row", model.tags)
     bad = ~np.isfinite(model.lower) | ~(model.upper > -np.inf) | ~np.isfinite(model.objective)
     if bad.any():
         j = int(bad.argmax())

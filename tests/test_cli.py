@@ -252,6 +252,16 @@ def test_workers_other_than_one_is_a_config_error(tmp_path, tiny_config_file, ca
     assert "workers must be 1" in capsys.readouterr().err
 
 
+def test_unknown_scheme_is_a_config_error(tmp_path, capsys):
+    # The command line offers only the three schemes; a library caller can
+    # name any other.
+    out = tmp_path / "never"
+    manifest = RunManifest(config="desk", seed=1, scheme="x", out_dir=str(out))
+    assert run(manifest) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown scheme 'x'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--node-limit", "0"], "node_limit must be >= 1"),
     (["--time-limit", "nan"], "time_limit must be a finite number of seconds >= 0, got nan"),

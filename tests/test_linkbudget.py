@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,12 @@ def test_modcod_requires_strictly_increasing_rows():
         ModcodTable.from_rows([(0.0, 2.0), (5.0, 1.0)])
     with pytest.raises(ValueError):
         ModcodTable.from_rows([])
+
+
+def test_empty_modcod_table_is_refused():
+    with pytest.raises(ValueError, match=re.escape(
+            "modcod table must be a nonempty list of (threshold, efficiency) rows")):
+        ModcodTable((), ())
 
 
 def test_efficiency_below_floor_is_zero(toy_modcod):

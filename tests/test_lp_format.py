@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bhca import lp_format
 from bhca.cli import resolve_config_path
@@ -145,6 +145,17 @@ def test_parser_reads_only_the_export_dialect(doc):
         parse_lp(doc)
 
 
+@pytest.mark.parametrize("row, message", [
+    (" r: x 2 3 <= 1", "two consecutive numbers near '3'"),
+    (" r: 2 + x <= 1", "dangling coefficient before '+'"),
+    (" r: x + 2 <= 1", "expression ends with a dangling coefficient"),
+    (" x <= 1", "constraint continuation before any constraint"),
+], ids=["two-numbers", "coefficient-before-sign", "coefficient-at-end", "no-row-name"])
+def test_parser_names_a_malformed_row(row, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_lp(f"Maximize\n obj: + 1 x\nSubject To\n{row}\nEnd\n")
+
+
 def test_parsed_lp_fields():
     names = [f.name for f in dataclasses.fields(ParsedLp)]
     assert names == ["objective", "constraints", "bounds", "binaries"]
@@ -160,6 +171,16 @@ def test_round_trip_compares_bounds(tiny_bundle):
                       if not line.startswith(" 0 <= beta_"))
     assert not round_trip_matches(model, parse_lp(no_beta))
     assert round_trip_matches(model, parse_lp(text))
+
+
+def test_round_trip_compares_coefficients(modcod):
+    _, _, _, model = make_bundle(tiny_config(1), modcod)
+    text = export_lp(model)
+    row = " C2_l1_c1: + 1 beta_1_1_1 + 1 beta_1_1_2 <= 1\n"
+    assert row in text
+    assert round_trip_matches(model, parse_lp(text))
+    changed = text.replace(row, row.replace("+ 1 beta_1_1_1", "+ 2 beta_1_1_1"))
+    assert not round_trip_matches(model, parse_lp(changed))
 
 
 def test_export_mentions_constraint_tags(tiny_bundle):
@@ -670,6 +691,91 @@ def test_every_character_the_parser_splits_at_is_refused():
         for change in (dict(tag=f"r{char}1"), dict(names=("u", f"v{char}1"))):
             with pytest.raises(ValueError, match="holds"):
                 export_lp(_two_column_model(**change))
+
+
+# The column misread scan as it was before _check_names: a line of the
+# joined names that starts so, or ends in ":", may hold a misread name.
+_REFERENCE_MISREAD_LEAD = re.compile(r"\n(?=[-+.<>=\d\niInN])")
+
+
+def _reference_names_error(kind: str, names: GridNames) -> None:
+    """The name checks as they were before ``_check_names``, on the rendered
+    names: raise ``ValueError`` naming the first name with a ``_flaw``, then,
+    for columns, the first that the scan of the joined names finds misread,
+    then the first repeat."""
+    listed = list(names)
+    if lp_format._flaw("".join(listed)):
+        name = next(n for n in listed if lp_format._flaw(n))
+        raise ValueError(
+            f"{kind} {name!r} holds {lp_format._flaw(name)}; the LP format writes every name as one token on "
+            "one line, outside any comment"
+        )
+    if kind == "column":
+        text = "\n".join(["", *listed, ""])
+        starts = [hit.end() for hit in _REFERENCE_MISREAD_LEAD.finditer(text)]
+        if ":\n" in text:
+            starts = sorted(starts + [text.rindex("\n", 0, hit.start()) + 1 for hit in re.finditer(":\n", text)])
+        for at in starts:
+            name = text[at:text.index("\n", at)]
+            why = lp_format._misread(name)
+            if why:
+                raise ValueError(f"column {name!r} reads as {why} in the LP format, not as a name")
+    seen = set()
+    for name in listed:
+        if name in seen:
+            raise ValueError(f"{kind} {name!r} appears twice; the LP format names every {kind} once")
+        seen.add(name)
+
+
+def _names_error(check, kind: str, names: GridNames) -> str | None:
+    try:
+        check(kind, names)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Pieces of heads and labels: ones that lead a number, sign or sense, end a
+# row name, hold a "_", a decimal digit float() reads, whitespace or a "\".
+_NAME_PART = st.lists(st.sampled_from(["", "x", "1", "i", "N", "+", "-", "<", "=", ".", "_", "1_2", "2", "v:",
+                                       "\u0663", "x y", "a\\b", "e", "nf"]),
+                      min_size=1, max_size=3).map("".join)
+_GRID_BLOCKS = st.lists(
+    st.tuples(_NAME_PART, st.lists(st.lists(_NAME_PART, max_size=3).map(tuple), max_size=2)),
+    min_size=1, max_size=3,
+)
+
+
+@pytest.mark.parametrize("kind", ["row", "column"])
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(blocks=_GRID_BLOCKS)
+@example(blocks=[("x_2", []), ("x", [("2",)])])  # a head meets a head and label
+@example(blocks=[("x", [("1_2", "1"), ("x", "2_x")])])  # two labels meet across their "_"
+def test_names_are_checked_as_the_rendered_names_were(kind, blocks):
+    names = GridNames(blocks)
+    assert (_names_error(lp_format._check_names, kind, names)
+            == _names_error(_reference_names_error, kind, names))
+
+
+@pytest.fixture(scope="module")
+def table2_seed7_models(modcod):
+    cfg = dataclasses.replace(load_config(resolve_config_path("table2")), rng_seed=7)
+    scenario, rates, pairs, model = make_bundle(cfg, modcod)
+    return model, build_bh_model(scenario, rates, pairs)
+
+
+def test_product_names_are_checked_without_rendering(monkeypatch, desk_seed1_models, table2_seed7_models):
+    def refuse(*args):
+        raise AssertionError("a name was rendered")
+
+    monkeypatch.setattr(GridNames, "__iter__", refuse)
+    monkeypatch.setattr(GridNames, "__getitem__", refuse)
+    monkeypatch.setattr(lp_format, "label_product", refuse)
+    for model in (*desk_seed1_models, *table2_seed7_models):
+        lp_format._check_names("column", model.catalog.names)
+        lp_format._check_names("row", model.tags)
+    with pytest.raises(AssertionError, match="a name was rendered"):
+        list(desk_seed1_models[0].tags)
 
 
 def test_parser_rejects_a_repeated_row(tiny_bundle):

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from bhca.metrics import build_report, jain_index, report_csv, report_json, report_rows
-from bhca.scenario import ConfigError, generate_scenario
+from bhca.cli import resolve_config_path
+from bhca.scenario import ConfigError, generate_scenario, load_config
 
 from conftest import desk_config
 
@@ -107,6 +109,12 @@ def test_zero_demand_is_a_configuration_error(modcod):
 
     with pytest.raises(ConfigError):
         build_report(_StubPlan(scenario.demand_matrix().copy()), BadScenario())
+
+
+def test_supplies_of_another_shape_are_refused():
+    scenario = generate_scenario(load_config(resolve_config_path("desk")))
+    with pytest.raises(ValueError, match=re.escape("plan supplies (2, 2) do not match demands (4, 8)")):
+        build_report(_StubPlan(np.ones((2, 2))), scenario)
 
 
 def test_unused_counts_only_oversupply(modcod):

@@ -20,6 +20,7 @@ from bhca.model import (
     RowBuilder,
     StructuralError,
     VariableCatalog,
+    ViolationReport,
     block_grids,
     build_model,
     chain_terms,
@@ -27,7 +28,7 @@ from bhca.model import (
     stack_terms,
     validate_solution,
 )
-from bhca.scenario import generate_scenario, load_config
+from bhca.scenario import adjacency_pairs, generate_scenario, load_config
 from bhca.solver import _dense, solve_milp
 
 from conftest import make_bundle, tiny_config
@@ -160,6 +161,17 @@ def test_rate_shape_mismatch_raises(tiny_bundle, modcod):
         build_model(scenario, rates, pairs)
 
 
+def test_nonpositive_demand_raises(modcod):
+    cfg = dataclasses.replace(load_config(resolve_config_path("desk")), rng_seed=1)
+    scenario = generate_scenario(cfg)
+    users = list(scenario.users)
+    users[3] = dataclasses.replace(users[3], demand_bphw=0.0)
+    scenario = dataclasses.replace(scenario, users=tuple(users))
+    rates = compute_rate_table(scenario, modcod)
+    with pytest.raises(StructuralError, match=re.escape("user demand must be positive (cluster 0, user 3)")):
+        build_model(scenario, rates, adjacency_pairs(scenario))
+
+
 def test_all_zeros_assignment_is_feasible(tiny_bundle):
     _, _, _, model = tiny_bundle
     report = validate_solution(model, np.zeros(model.num_cols))
@@ -189,6 +201,10 @@ def test_integrality_violations_reported(tiny_bundle):
     x[cat.z[0, 0]] = 0.4
     report = validate_solution(model, x)
     assert any(tag.startswith("integrality_z_1_1") for tag, _ in report.entries)
+
+
+def test_empty_report_reads_no_violations():
+    assert str(ViolationReport(())) == "no violations"
 
 
 def test_bound_violations_name_their_columns(tiny_bundle):
