@@ -21,11 +21,14 @@ model = build_model(scenario, rates, pairs)
 cat = model.catalog
 
 print("variable blocks (flat column ranges):")
-print(f"  a      [{cat.off_a:3d}..{cat.off_beta:3d})  carrier-user assignment, binary")
-print(f"  beta   [{cat.off_beta:3d}..{cat.off_q:3d})  fill-rates in [0,1]")
-print(f"  q      [{cat.off_q:3d}..{cat.off_z:3d})  beta*z products, per slot")
-print(f"  z      [{cat.off_z:3d}..{cat.off_tu:3d})  illumination, binary")
-print(f"  tU     [{cat.off_tu:3d}..{cat.off_tl:3d})  per-cluster user-ratio floors")
+for name, grid, meaning in (
+    ("a", cat.a, "carrier-user assignment, binary"),
+    ("beta", cat.beta, "fill-rates in [0,1]"),
+    ("q", cat.q, "beta*z products, per slot"),
+    ("z", cat.z, "illumination, binary"),
+    ("tU", cat.tu, "per-cluster user-ratio floors"),
+):
+    print(f"  {name:6s} [{grid.min():3d}..{grid.max() + 1:3d})  {meaning}")
 print(f"  tL,theta                 cluster-ratio floor and the min floor")
 print(f"total: {model.num_cols} columns, {model.num_rows} rows")
 print()

@@ -25,8 +25,9 @@ _DEFAULT_TABLE_RESOURCE = "dvbs2x_modcods.csv"
 class ModcodTable:
     """Ordered step table mapping Es/N0 thresholds to spectral efficiency.
 
-    Thresholds and efficiencies must both be strictly increasing; lookup picks
-    the highest row whose threshold is met, and returns 0 below the first row.
+    Thresholds and efficiencies must both be finite and strictly increasing;
+    lookup picks the highest row whose threshold is met, and returns 0 below
+    the first row. An Es/N0 of NaN meets no row and is refused.
     """
 
     thresholds_db: tuple[float, ...]
@@ -37,6 +38,8 @@ class ModcodTable:
             raise ValueError("modcod table must be a nonempty list of (threshold, efficiency) rows")
         thr = np.asarray(self.thresholds_db)
         eff = np.asarray(self.efficiencies)
+        if not (np.isfinite(thr).all() and np.isfinite(eff).all()):
+            raise ValueError("modcod thresholds and efficiencies must be finite")
         if not np.all(np.diff(thr) > 0):
             raise ValueError("modcod thresholds must be strictly increasing")
         if not np.all(np.diff(eff) > 0):
@@ -45,6 +48,8 @@ class ModcodTable:
     def efficiency(self, es_n0_db):
         """Spectral efficiency in bits/symbol for the given Es/N0 (dB), vectorized."""
         gamma = np.asarray(es_n0_db, dtype=float)
+        if np.isnan(gamma).any():
+            raise ValueError("Es/N0 must not be NaN")
         thr = np.asarray(self.thresholds_db)
         eff = np.concatenate([[0.0], np.asarray(self.efficiencies)])
         idx = np.searchsorted(thr, gamma, side="right")

@@ -77,20 +77,6 @@ class VariableCatalog:
         )
         self.num_cols = len(self.names)
 
-    def lower(self) -> np.ndarray:
-        return np.zeros(self.num_cols)
-
-    def upper(self) -> np.ndarray:
-        up = np.ones(self.num_cols)
-        up[self.off_tu:] = np.inf
-        return up
-
-    def binary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.num_cols, dtype=bool)
-        mask[self.a] = True
-        mask[self.z] = True
-        return mask
-
 
 class BaselineCatalog:
     """Column layout of the baseline stage-1 model: z (l, t) blocks, then
@@ -386,13 +372,20 @@ def build_model(
     objective[tu] = epsilon_tiebreak
     objective[cat.tl_col] = epsilon_tiebreak
 
+    upper = np.ones(cat.num_cols)
+    upper[tu] = np.inf
+    upper[[cat.tl_col, cat.theta_col]] = np.inf
+    binary = np.zeros(cat.num_cols, dtype=bool)
+    binary[a] = True
+    binary[z] = True
+
     return ModelInstance(
         catalog=cat,
         **rows.arrays(),
         objective=objective,
-        lower=cat.lower(),
-        upper=cat.upper(),
-        binary=cat.binary_mask(),
+        lower=np.zeros(cat.num_cols),
+        upper=upper,
+        binary=binary,
         epsilon_fill=epsilon_fill,
         epsilon_tiebreak=epsilon_tiebreak,
         rate_per_slot=R,

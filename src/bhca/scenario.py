@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,22 +85,26 @@ class SystemConfig:
         return max(1, math.ceil(self.carriers_per_cluster / len(POLARIZATIONS)))
 
     def validate(self) -> list[str]:
-        """Return a list of human-readable invariant violations (empty if valid)."""
-        diags = []
-        counts = (
-            ("num_beams", self.num_beams),
-            ("num_clusters", self.num_clusters),
-            ("beams_per_cluster", self.beams_per_cluster),
-            ("carriers_per_cluster", self.carriers_per_cluster),
-            ("num_transponders", self.num_transponders),
-            ("active_clusters_per_slot", self.active_clusters_per_slot),
-            ("slots_per_window", self.slots_per_window),
-            ("users_per_beam", self.users_per_beam),
-            ("delta_max", self.delta_max),
-        )
-        for name, value in counts:
-            if not isinstance(value, int) or value < 1:
-                diags.append(f"{name} must be an integer >= 1")
+        """Return a list of human-readable invariant violations (empty if valid).
+
+        The one judge of every config, read from JSON or built in code: an
+        ``int`` field takes an ``int``, any other a real number a float holds
+        finitely, and a ``bool`` neither. The rules after the per-field ones
+        compare numbers, so they run only once every field has its type.
+        """
+        diags, typed = [], True
+        for f in fields(self):
+            value, integer = getattr(self, f.name), f.name in _INT_FIELDS
+            least = 0 if f.name == "rng_seed" else 1
+            right = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+            right = right and (integer or abs(value) <= sys.float_info.max)
+            typed &= right
+            if not integer and not right:
+                diags.append(f"{f.name} must be a finite number")
+            elif integer and not (right and value >= least):
+                diags.append(f"{f.name} must be an integer >= {least}")
+        if not typed:
+            return diags
         if self.num_beams != self.num_clusters * self.beams_per_cluster:
             diags.append("num_beams must equal num_clusters * beams_per_cluster")
         if self.active_clusters_per_slot >= self.num_clusters:
@@ -122,8 +127,6 @@ class SystemConfig:
             diags.append("beam_pitch_km must be > 0")
         if self.reference_spectral_efficiency <= 0:
             diags.append("reference_spectral_efficiency must be > 0")
-        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
-            diags.append("rng_seed must be an integer >= 0")
         return diags
 
     def require_valid(self) -> None:
@@ -164,8 +167,9 @@ def config_from_dict(doc: dict) -> SystemConfig:
     """Build a SystemConfig from a parsed JSON document.
 
     Raises ConfigError naming the offending key when a required key is
-    missing, an unknown key is present, or a value has the wrong JSON type:
-    integer fields take JSON integers, the others any finite JSON number.
+    missing or an unknown key is present; ``SystemConfig.validate`` judges the
+    values, as for a config built in code. A JSON integer of a float field is
+    read as a float when a float holds it.
     """
     known = {f.name for f in fields(SystemConfig)}
     missing = [k for k in REQUIRED_CONFIG_KEYS if k not in doc]
@@ -174,15 +178,10 @@ def config_from_dict(doc: dict) -> SystemConfig:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigError("unknown config key: " + ", ".join(unknown))
-    kwargs = {}
-    for key, value in doc.items():
-        integer = key in _INT_FIELDS
-        number = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
-        if not number or not (integer or math.isfinite(value)):
-            kind = "an integer" if integer else "a finite number"
-            raise ConfigError(f"config key {key} must be {kind}, got {json.dumps(value)}")
-        kwargs[key] = value if integer else float(value)
-    return SystemConfig(**kwargs)
+    return SystemConfig(**{
+        k: float(v) if k not in _INT_FIELDS and type(v) is int and abs(v) <= sys.float_info.max else v
+        for k, v in doc.items()
+    })
 
 
 def _unique_keys(pairs) -> dict:

@@ -59,6 +59,10 @@ class SolverOptions:
     time_limit: float | None = None
 
     def __post_init__(self):
+        # The limit is compared with a node count: a NaN one never stops the
+        # search, and a fractional one stops at the next integer.
+        if isinstance(self.node_limit, bool) or not isinstance(self.node_limit, int):
+            raise ValueError("node_limit must be an integer >= 1")
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
         # NaN fails every comparison, so it is refused with inf and negatives.

@@ -141,11 +141,10 @@ def test_criterion_2_linearization_suite(tiny_batch, desk_batch):
     solutions += [(c.model, c.solution.values) for c in desk_cases]
     for model, values in solutions:
         cat = model.catalog
-        L, C, U, T = cat.num_clusters, cat.num_carriers, cat.num_users, cat.num_slots
-        a = values[cat.off_a:cat.off_beta].reshape(L, C, U)
-        beta = values[cat.off_beta:cat.off_q].reshape(L, C, U)
-        q = values[cat.off_q:cat.off_z].reshape(L, C, U, T)
-        z = values[cat.off_z:cat.off_tu].reshape(L, T)
+        a = values[cat.a]
+        beta = values[cat.beta]
+        q = values[cat.q]
+        z = values[cat.z]
         worst_q = max(worst_q, float(np.max(np.abs(
             q - beta[:, :, :, None] * z[:, None, None, :]
         ))))
@@ -169,7 +168,7 @@ def test_criterion_3_max_min_realization(tiny_batch, modcod):
     for c in cases:
         cat = c.model.catalog
         theta = c.milp.values[cat.theta_col]
-        floors = list(c.milp.values[cat.off_tu:cat.off_tl]) + [c.milp.values[cat.tl_col]]
+        floors = list(c.milp.values[cat.tu]) + [c.milp.values[cat.tl_col]]
         worst = max(worst, abs(theta - min(floors)))
     # Raising the tie-break weight must never pull theta down.
     regressions = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -223,6 +224,37 @@ def test_main_validate_config_subcommand(tmp_path, capsys):
 ])
 def test_each_config_rule_reports_its_message(tmp_path, capsys, change, message):
     config = SystemConfig(**change)
+    assert config.validate() == [message]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config.to_dict()))
+    assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == message + "\n"
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+INT_FIELDS = ("num_beams", "num_clusters", "beams_per_cluster", "carriers_per_cluster",
+              "num_transponders", "active_clusters_per_slot", "slots_per_window", "delta_max",
+              "rng_seed", "users_per_beam")
+BAD_VALUES = (float("nan"), float("inf"), -float("inf"), True, None, "x")
+BEYOND_FLOAT = 10**400
+
+
+# A config built in code used to pass NaN, infinities and True; a JSON
+# integer beyond float range ended the JSON route in an OverflowError.
+@pytest.mark.parametrize("field, value", [
+    (f.name, value)
+    for f in dataclasses.fields(SystemConfig)
+    for value in BAD_VALUES + ((2.5,) if f.name in INT_FIELDS else (BEYOND_FLOAT,))
+], ids=lambda v: "10**400" if v == BEYOND_FLOAT else None)
+def test_each_bad_config_value_gives_one_diagnostic(tmp_path, capsys, field, value):
+    if field not in INT_FIELDS:
+        message = f"{field} must be a finite number"
+    else:
+        message = f"{field} must be an integer >= {0 if field == 'rng_seed' else 1}"
+    config = SystemConfig(**{field: value})
     assert config.validate() == [message]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config.to_dict()))

@@ -24,6 +24,24 @@ def test_empty_modcod_table_is_refused():
         ModcodTable((), ())
 
 
+def test_nonfinite_modcod_rows_are_refused():
+    # An infinite efficiency used to be accepted, and looked up above its
+    # threshold; a NaN threshold was refused as not strictly increasing.
+    for rows in ([(0.0, 1.0), (5.0, np.inf)], [(0.0, 1.0), (np.nan, 2.0)], [(-np.inf, 1.0), (5.0, 2.0)]):
+        with pytest.raises(ValueError, match="modcod thresholds and efficiencies must be finite"):
+            ModcodTable.from_rows(rows)
+
+
+def test_efficiency_of_nan_is_refused(modcod, toy_modcod):
+    # NaN used to look up the top row, so a NaN link budget planned every
+    # user at the top MODCOD.
+    with pytest.raises(ValueError, match="Es/N0 must not be NaN"):
+        modcod.efficiency(np.nan)
+    with pytest.raises(ValueError, match="Es/N0 must not be NaN"):
+        toy_modcod.efficiency(np.array([0.0, np.nan]))
+    assert toy_modcod.efficiency(-np.inf) == 0.0
+
+
 def test_efficiency_below_floor_is_zero(toy_modcod):
     assert toy_modcod.efficiency(-0.001) == 0.0
     assert toy_modcod.efficiency(-50.0) == 0.0

@@ -314,9 +314,8 @@ def test_decode_supplies_match_beta_z_recomputation(tiny_bundle):
     solution = solve_milp(model)
     plan = decode_plan(model, solution, scenario)
     cat = model.catalog
-    L, C, U, T = cat.num_clusters, cat.num_carriers, cat.num_users, cat.num_slots
-    beta = solution.values[cat.off_beta:cat.off_q].reshape(L, C, U)
-    z = solution.values[cat.off_z:cat.off_tu].reshape(L, T)
+    beta = solution.values[cat.beta]
+    z = solution.values[cat.z]
     direct = np.einsum("lcu,lt,lcu->lu", beta, z, rates.rate_per_slot)
     assert np.allclose(plan.user_supply, direct, rtol=0, atol=1e-6)
     assert np.allclose(plan.cluster_supply, direct.sum(axis=1), rtol=0, atol=1e-6)

@@ -41,8 +41,7 @@ def test_carrier_cap_binds(modcod, seed):
     assert model.binary.sum() <= MAX_ORACLE_BINARIES
     _check(model)
     cat = model.catalog
-    a = solve_milp(model).values[cat.off_a:cat.off_beta].reshape(
-        cat.num_clusters, cat.num_carriers, cat.num_users)
+    a = solve_milp(model).values[cat.a]
     assert a.sum(axis=1).max() <= 1.0
     _check(build_bh_model(scenario, rates, pairs))
 
@@ -84,8 +83,7 @@ def test_three_carriers_per_cluster(modcod, seed, delta_max):
     assert model.catalog.num_carriers == 3
     _check(model)
     cat = model.catalog
-    a = solve_milp(model).values[cat.off_a:cat.off_beta].reshape(
-        cat.num_clusters, cat.num_carriers, cat.num_users)
+    a = solve_milp(model).values[cat.a]
     assert a.sum(axis=1).max() <= delta_max
     _check(build_bh_model(scenario, rates, pairs))
 

@@ -44,6 +44,10 @@ def test_options_validation():
     assert [f.name for f in dataclasses.fields(SolverOptions)] == ["node_limit", "time_limit"]
     with pytest.raises(ValueError):
         SolverOptions(node_limit=0)
+    # A NaN limit never stopped the search, 2.5 acted as 3 and True as 1.
+    for limit in (float("nan"), float("inf"), 2.5, 3.0, True, None, "3"):
+        with pytest.raises(ValueError, match="node_limit must be an integer >= 1"):
+            SolverOptions(node_limit=limit)
     # NaN and inf used to switch the limit off, and a negative limit stopped
     # the search before its first LP.
     for limit in (float("nan"), float("inf"), -float("inf"), -1.0, -1e-9):
@@ -102,7 +106,7 @@ def test_theta_equals_min_ratio_floor(tiny_bundle):
     cat = model.catalog
     sol = solve_milp(model)
     theta = sol.values[cat.theta_col]
-    floors = list(sol.values[cat.off_tu:cat.off_tl]) + [sol.values[cat.tl_col]]
+    floors = list(sol.values[cat.tu]) + [sol.values[cat.tl_col]]
     assert theta == pytest.approx(min(floors), abs=1e-8)
 
 
@@ -110,11 +114,10 @@ def test_linearization_and_activation_contract(tiny_bundle):
     _, _, _, model = tiny_bundle
     cat = model.catalog
     sol = solve_milp(model)
-    L, C, U, T = cat.num_clusters, cat.num_carriers, cat.num_users, cat.num_slots
-    a = sol.values[cat.off_a:cat.off_beta].reshape(L, C, U)
-    beta = sol.values[cat.off_beta:cat.off_q].reshape(L, C, U)
-    q = sol.values[cat.off_q:cat.off_z].reshape(L, C, U, T)
-    z = sol.values[cat.off_z:cat.off_tu].reshape(L, T)
+    a = sol.values[cat.a]
+    beta = sol.values[cat.beta]
+    q = sol.values[cat.q]
+    z = sol.values[cat.z]
     assert np.max(np.abs(q - beta[:, :, :, None] * z[:, None, None, :])) <= 1e-9
     assert np.all(beta[a < 0.5] <= 1e-9)
     assert np.all(beta[a > 0.5] >= model.epsilon_fill - 1e-9)
@@ -216,7 +219,7 @@ def test_symmetric_users_objective_unique(modcod):
     oracle = brute_force(model)
     assert milp.objective == pytest.approx(oracle.objective, abs=1e-6)
     cat = model.catalog
-    beta = milp.values[cat.off_beta:cat.off_q].reshape(2, 2, 2)
+    beta = milp.values[cat.beta]
     # Identical users; per-carrier fill mass is determined even if the split
     # between the two users is a tie.
     assert beta[0].sum(axis=1) == pytest.approx(beta[0].sum(axis=1)[::-1], abs=1e-6)
