@@ -197,7 +197,7 @@ def _run_text(model, names, prefix, widths, r0: int, r1: int) -> str:
         coef_at = np.arange(2, 2 * nnz + 2, 2) + 4 * np.repeat(rows, terms)
         name_at = coef_at + 1
     coef_txt, coef_width = _distinct(model.coefs[a:b].reshape(shape), _signed)
-    sense_txt, sense_width = _distinct(model.senses[r0:r1], lambda s: f" {s} ")
+    sense_txt, sense_width = _distinct(model.senses[r0:r1], lambda s: f" {SENSES[s]} ")
     rhs_txt, rhs_width = _distinct(model.rhs[r0:r1], lambda v: _num(v) + "\n")
     target[lead_at], target[end_at] = prefix
     target[coef_at] = coef_txt
@@ -311,8 +311,8 @@ def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first column or row holding a name or
     number the dialect cannot carry: the column names and then the row tags
     are checked first (``_check_names``); then a column has no free or
-    ``-inf`` bound form, a row's sense is one of ``<=``, ``>=`` and ``=``,
-    and a coefficient or rhs must be finite."""
+    ``-inf`` bound form, a row's sense is a code into ``SENSES``, and a
+    coefficient or rhs must be finite."""
     _check_names("column", model.catalog.names)
     _check_names("row", model.tags)
     bad = ~np.isfinite(model.lower) | ~(model.upper > -np.inf) | ~np.isfinite(model.objective)
@@ -323,10 +323,10 @@ def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
             f"coefficient {model.objective[j]!r}; the LP format needs a finite lower bound and "
             "finite coefficients"
         )
-    bad = ~np.isin(model.senses, SENSES)
+    bad = ~np.isin(model.senses, range(len(SENSES))) | (model.senses.dtype.kind not in "iu")
     if bad.any():
         i = int(bad.argmax())
-        raise ValueError(f"row {model.tags[i]} has sense {str(model.senses[i])!r}; expected one of {SENSES}")
+        raise ValueError(f"row {model.tags[i]} has sense {model.senses.tolist()[i]!r}; expected a code into {SENSES}")
     bad = ~np.isfinite(model.rhs)
     bad[np.searchsorted(model.indptr, np.flatnonzero(~np.isfinite(model.coefs)), side="right") - 1] = True
     if bad.any():
@@ -507,7 +507,7 @@ def model_canonical_rows(model: ModelInstance):
         model.tags, model.senses.tolist(), model.rhs.tolist(), ptr[:-1], ptr[1:]
     ):
         terms = tuple(sorted((names[c], v) for c, v in zip(cols[start:stop], coefs[start:stop])))
-        rows[tag] = (terms, sense, rhs)
+        rows[tag] = (terms, SENSES[sense], rhs)
     return rows
 
 

@@ -20,11 +20,7 @@ import numpy as np
 
 from .linkbudget import RateTable
 from .scenario import Scenario
-
-LESS = "<="
-GREATER = ">="
-EQUAL = "="
-SENSES = (LESS, GREATER, EQUAL)
+from .simplex import EQUAL, GREATER, LESS, SENSES, row_excess, sense_codes
 
 DEFAULT_EPSILON_FILL = 1e-6
 DEFAULT_EPSILON_TIEBREAK = 1e-4
@@ -182,14 +178,13 @@ class RowBuilder:
 
         ``cols`` holds each row's k terms in order along its last axis, and
         its other axes broadcast to the grid; ``coefs`` broadcasts to the
-        grid's terms, ``sense`` and ``rhs`` to the grid. A block whose sense
-        and rhs vary along its last axis interleaves rows of both kinds.
-        Zero coefficients are dropped. An unknown sense raises ``ValueError``
+        grid's terms, ``sense`` (a code into ``SENSES`` or its text, stored
+        as the code) and ``rhs`` to the grid. A block whose sense and rhs
+        vary along its last axis interleaves rows of both kinds. Zero
+        coefficients are dropped. An unknown sense raises ``ValueError``
         naming the block.
         """
-        unknown = set(np.ravel(sense).tolist()) - set(SENSES)
-        if unknown:
-            raise ValueError(f"block {family} has sense {min(unknown)!r}; expected one of {SENSES}")
+        codes = sense_codes(sense, f"block {family} has sense")
         shape = tuple(len(axis) for axis in axes)
         terms = shape + np.shape(cols)[-1:]
         cols = _filled(terms, np.int64, cols).reshape(math.prod(shape), terms[-1])
@@ -198,7 +193,7 @@ class RowBuilder:
         self.counts.append(keep.sum(axis=1))
         self.cols.append(cols[keep])
         self.coefs.append(coefs[keep])
-        self.senses.append(_filled(shape, "<U2", sense).ravel())
+        self.senses.append(_filled(shape, np.int8, codes).ravel())
         self.rhs.append(_filled(shape, float, rhs).ravel())
         self.blocks.append((family, axes))
 
@@ -218,7 +213,7 @@ class RowBuilder:
             indptr=np.concatenate([[0], np.cumsum(joined(self.counts, np.int64), dtype=np.int64)]),
             cols=joined(self.cols, np.int64),
             coefs=joined(self.coefs, float),
-            senses=joined(self.senses, "<U2"),
+            senses=joined(self.senses, np.int8),
             rhs=joined(self.rhs, float),
             tags=GridNames(self.blocks),
         )
@@ -250,9 +245,10 @@ class ModelInstance:
 
     Rows are stored CSR-style: row ``i`` reads
     ``sum(coefs[k] * x[cols[k]] for k in range(indptr[i], indptr[i + 1]))
-    senses[i] rhs[i]`` and is named ``tags[i]``. The rows come from
-    ``RowBuilder.arrays``: zero coefficients are never stored, and ``tags``
-    is a ``GridNames``, as the catalog's ``names`` is.
+    SENSES[senses[i]] rhs[i]`` (``senses`` holds int8 codes) and is named
+    ``tags[i]``. The rows come from ``RowBuilder.arrays``: zero coefficients
+    are never stored, and ``tags`` is a ``GridNames``, as the catalog's
+    ``names`` is.
     """
 
     catalog: object
@@ -430,11 +426,7 @@ def validate_solution(model: ModelInstance, assignment: np.ndarray) -> Violation
         return ViolationReport(entries=tuple(
             (f"nonfinite_{names[j]}", math.inf) for j in nonfinite.tolist()
         ))
-    lhs = model.row_values(x)
-    excess = np.where(
-        model.senses == LESS, lhs - model.rhs,
-        np.where(model.senses == GREATER, model.rhs - lhs, np.abs(lhs - model.rhs)),
-    )
+    excess = row_excess(model.row_values(x), model.senses, model.rhs)
     violated = np.nonzero(excess > VALIDATION_TOL)[0]
     entries = [(model.tags[i], v) for i, v in zip(violated.tolist(), excess[violated].tolist())]
     low_viol = model.lower - x

@@ -36,9 +36,7 @@ class SystemConfig:
     """Static description of the satellite system and synthesis knobs.
 
     Counts and SI-unit fields mirror the JSON config schema one-to-one
-    (snake_case keys). ``power_per_beam_watts`` is carried as an independent
-    field and is not folded into the carrier link budget, which works from
-    ``power_per_transponder``.
+    (snake_case keys).
     """
 
     num_beams: int = 16
@@ -58,7 +56,6 @@ class SystemConfig:
     # Synthesis knobs (optional in config files).
     users_per_beam: int = 12
     high_demand_fraction: float = 0.3
-    power_per_beam_watts: float = 12.0
     beam_pitch_km: float = 50.0
     tx_peak_gain_dbi: float = 51.0
     rx_gain_over_temp_db_per_k: float = 12.0

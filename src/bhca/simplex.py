@@ -1,10 +1,11 @@
 """Dense two-phase primal simplex with native variable bounds.
 
 Works on the standard row form ``A x {<=,>=,=} b`` with finite lower bounds
-and possibly infinite upper bounds. Nonbasic variables may rest at either
-bound; bound flips avoid basis changes when the entering variable hits its
-opposite bound first. Rows are equilibrated by their max-abs coefficient
-before pivoting and all reporting happens in the original units.
+and possibly infinite upper bounds; a row's sense is an int8 code into
+``SENSES``, the package's one sense table. Nonbasic variables may rest at
+either bound; bound flips avoid basis changes when the entering variable
+hits its opposite bound first. Rows are equilibrated by their max-abs
+coefficient before pivoting and all reporting happens in the original units.
 
 Pricing is Dantzig by default; a stall counter switches to Bland's rule
 permanently once the objective stops improving for too long, which guarantees
@@ -37,7 +38,8 @@ PIVOT_TOL = 1e-9
 # A reported optimum whose worst row or bound violation exceeds this is a bug.
 RESIDUAL_TOL = 1e-7
 
-_SENSES = ("<=", ">=", "=")
+SENSES = ("<=", ">=", "=")
+LESS, GREATER, EQUAL = range(len(SENSES))
 
 
 @dataclass
@@ -92,12 +94,13 @@ class _Tableaux:
         c = np.asarray(c, dtype=float)
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
-        if c.ndim != 1 or b.ndim != 1 or A.shape != (b.size, c.size):
-            raise ValueError(f"expected c (n,), A (m, n), b (m,); got {c.shape}, {A.shape}, {b.shape}")
+        codes = sense_codes(senses)
+        if c.ndim != 1 or b.ndim != 1 or A.shape != (b.size, c.size) or codes.shape != b.shape:
+            raise ValueError(f"expected shapes c (n,), A (m, n), b (m,) and senses (m,); got {c.shape}, "
+                             f"{A.shape}, {b.shape} and {codes.shape}")
         m, n = A.shape
         if lo.ndim != 2 or lo.shape[1] != n or up.shape != lo.shape:
             raise ValueError(f"bounds have shapes {lo.shape} and {up.shape}, expected (B, {n})")
-        codes = _sense_codes(senses, m)
         if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("c, A and b must be finite")
         if not np.isfinite(lo).all():
@@ -118,13 +121,13 @@ class _Tableaux:
         bs = b_shift / scale
         # Orient rows so rhs >= 0; flipping >= rows with zero rhs as well keeps
         # them slack-basic and avoids needless phase-1 artificials.
-        flip = (bs < 0) | ((bs == 0.0) & (codes == 1))
+        flip = (bs < 0) | ((bs == 0.0) & (codes == GREATER))
         bs = np.where(flip, -bs, bs)
         bs[bs == 0.0] = 0.0
         # A row needs an artificial unless it is a <= row once oriented.
-        art = np.where(flip, codes != 1, codes != 0) & self.alive[:, None]
+        art = np.where(flip, codes != GREATER, codes != LESS) & self.alive[:, None]
 
-        slack_rows = (codes != 2).nonzero()[0]
+        slack_rows = (codes != EQUAL).nonzero()[0]
         art_rows = art.any(axis=0).nonzero()[0]
         self.core = core = n + slack_rows.size
         N = core + art_rows.size
@@ -217,23 +220,27 @@ class _Tableaux:
                 in zip(map(np.ndarray.copy, x), self.alive.tolist(), self.status, self.iterations)]
 
 
-def _sense_codes(senses, m: int) -> np.ndarray:
-    s = np.asarray(senses) if len(senses) else np.empty(0, dtype="<U2")
-    if s.shape != (m,):
-        raise ValueError(f"senses have shape {s.shape}, expected ({m},)")
-    codes = np.full(m, -1, dtype=np.int8)
-    for code, sense in enumerate(_SENSES):
-        codes[s == sense] = code
-    if (codes < 0).any():
-        raise ValueError(f"unknown sense {str(s[codes < 0][0])!r}; expected one of {_SENSES}")
-    return codes
+def sense_codes(senses, unknown: str = "unknown sense") -> np.ndarray:
+    """``senses`` as int8 codes into ``SENSES``: a code in range passes, a text
+    maps to its index, and any other entry raises ``ValueError`` (``unknown``
+    and the first such entry)."""
+    s = np.asarray(senses)
+    codes = s if s.dtype.kind in "iu" else np.select([s == text for text in SENSES], range(len(SENSES)), -1)
+    bad = (codes < 0) | (codes >= len(SENSES))
+    if bad.any():
+        raise ValueError(f"{unknown} {s[bad].tolist()[0]!r}; expected one of {SENSES}")
+    return codes.astype(np.int8, copy=False)
+
+
+def row_excess(lhs, senses, rhs) -> np.ndarray:
+    """How far each row's ``lhs`` passes its ``rhs`` where its sense forbids; 0 or less if it holds."""
+    return np.where(senses == LESS, lhs - rhs, np.where(senses == GREATER, rhs - lhs, np.abs(lhs - rhs)))
 
 
 def _max_violation(A, codes, b, lo, up, x) -> np.ndarray:
     """Worst row or bound violation of each point in ``x`` (B, n); NaN counts as inf."""
     lhs = np.matmul(A, x[:, :, None])[:, :, 0]
-    rows = np.where(codes == 0, lhs - b, np.where(codes == 1, b - lhs, np.abs(lhs - b)))
-    worst = np.maximum(rows.max(axis=1, initial=0.0),
+    worst = np.maximum(row_excess(lhs, codes, b).max(axis=1, initial=0.0),
                        np.maximum(lo - x, x - up).max(axis=1, initial=0.0))
     return np.where(np.isnan(worst), np.inf, worst)
 

@@ -65,9 +65,10 @@ class SolverOptions:
             raise ValueError("node_limit must be an integer >= 1")
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
-        # NaN fails every comparison, so it is refused with inf and negatives.
-        if self.time_limit is not None and not 0.0 <= self.time_limit < np.inf:
-            raise ValueError(f"time_limit must be a finite number of seconds >= 0, got {self.time_limit!r}")
+        # NaN fails every comparison and is refused with inf, negatives, bools and texts.
+        t = self.time_limit
+        if t is not None and (isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 <= t < np.inf):
+            raise ValueError(f"time_limit must be a finite number of seconds >= 0, got {t!r}")
 
 
 @dataclass

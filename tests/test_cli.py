@@ -38,11 +38,11 @@ DESK_1_CHECKSUMS = {
     "model_bhca.lp": "1263e09e75c0ad0617725f1a0c22b6fcb6992872da80c4b5dab71a550dbccbf2",
     "plan_bh.json": "acbd84d65449c83ac4d31bed2cec92f68dcb745258516bee9a89f25154842f3e",
     "plan_bhca.json": "0a5963d965adfae0a8685be257f47857e3a0688706bf94226246536129422fb8",
-    "scenario.json": "eae40a32505ab2aaa1defa9349d2c4457c931fea3354a9b371dff90784fb5361",
+    "scenario.json": "a0764ff20879d65664a6d8d882d1746884a93169a7d721338b8861f145aea685",
     "solver_log_bh.txt": "e7a61069b4bb7f9273da060e952bc292f96ed7be7dbcf575def6588513cf8aef",
     "solver_log_bhca.txt": "c924ca694e9989ecce58e9884cbd88faa2cd0b378c8db59f21860a267e074965",
 }
-DESK_1_MANIFEST = "0e9480e9576b567c05a5dc66b19531d6ef19d2c70b9e388408e8b2ce345451a7"
+DESK_1_MANIFEST = "d998cbfd1ee342ac91f95ecd2a829b53c42a84d1efc46dfbe6a18e6e355cf6fa"
 
 
 @pytest.fixture()
@@ -167,6 +167,20 @@ def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, key, val
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and key in err[0]
+    assert not out.exists()
+
+
+def test_config_with_the_deleted_power_per_beam_key_is_a_config_error(tmp_path, capsys):
+    # No code read power_per_beam_watts; configs written before its deletion
+    # carry it and are now refused rather than read with a dead key.
+    doc = tiny_config(7).to_dict() | {"power_per_beam_watts": 12.0}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == "unknown config key: power_per_beam_watts\n"
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown config key: power_per_beam_watts\n"
     assert not out.exists()
 
 

