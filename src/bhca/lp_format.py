@@ -4,18 +4,19 @@ The writer is byte-stable for a fixed model: fixed section order
 (Maximize / Subject To / Bounds / Binaries / End), constraint names taken
 from the row tags, coefficients rendered with ``repr`` so parsing recovers
 them exactly, and long rows folded at a fixed width. The Subject To
-section is rendered one run of rows at a time (``EXPORT_RUN_TERMS``), so
-its working memory is set by the run size, not by the model: the table2
-export peaks at about 2.4 times its own text. A run joins pieces that are
-shared where the data allow: a ``GridNames`` block's tags come from its
-head and labels, not built one by one, and a coefficient, sense or rhs
-that every row of the run holds is one string. A run is searched for
-lines to fold only when its longest pieces could make a line wider than
-the fold width. The run size does not change the bytes. The writer
-refuses a name the reader would not read back: one holding whitespace or
-a ``\\``, a column name that reads as a number, sign, sense or row start,
-or a name given twice. One function checks the names, from each block's
-head and labels. The reader accepts only the constructs the writer emits.
+section is rendered in runs of rows that stay inside one row block
+(``EXPORT_RUN_TERMS``), so its working memory is set by the run size,
+not by the model: the table2 export peaks at about 2.4 times its own
+text. A run joins pieces that are shared where the data allow: a row
+block's tags come from its head and labels, not built one by one, and a
+coefficient, sense or rhs that every row of the run holds is one string.
+A run is searched for lines to fold only when its longest pieces could
+make a line wider than the fold width. The run size does not change the
+bytes. The writer refuses a name the reader would not read back: one
+holding whitespace or a ``\\``, a column name that reads as a number,
+sign, sense or row start, or a name given twice. One function checks the
+names, from each block's head and labels. The reader accepts only the
+constructs the writer emits.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .model import SENSES, GridNames, ModelInstance, label_product
 
 _FOLD_WIDTH = 220
 # Largest weight of one Subject To run, a row weighing its terms plus one;
-# see ``_runs``.
+# see ``_rows_text``.
 EXPORT_RUN_TERMS = 16_384
 
 
@@ -116,56 +117,34 @@ def _bound_cols(model: ModelInstance) -> np.ndarray:
     return np.nonzero(~model.binary & ((model.lower != 0.0) | (model.upper != np.inf)))[0]
 
 
-def _runs(indptr: np.ndarray):
-    """``(r0, r1)`` bounds of consecutive row runs covering every row.
-
-    A row weighs its terms plus one, so runs of empty rows stay bounded too;
-    a run weighs at most ``EXPORT_RUN_TERMS`` unless it is one heavier row.
-    """
-    weight = indptr + np.arange(indptr.size)
-    r0, m = 0, indptr.size - 1
-    while r0 < m:
-        r1 = int(np.searchsorted(weight, weight[r0] + EXPORT_RUN_TERMS, side="right")) - 1
-        r1 = max(r1, r0 + 1)
-        yield r0, r1
-        r0 = r1
-
-
-def _prefixes(tags: GridNames):
-    """``(prefix, width)``: ``prefix(r0, r1)`` gives rows ``[r0, r1)`` their
-    ``" <tag>:"`` prefixes as two object arrays, a lead and an end, and no
-    prefix is longer than ``width``.
-
-    A block ``head`` over ``axes`` leads with ``label_product(" " + head,
-    axes[:-1])`` and ends with its last axis's labels and ``":"``, so no
-    tag is built.
-    """
-    leads, ends, at = [], [], []
-    for start, stop, head, axes in tags.blocks():
-        if stop > start:
-            end = [f"_{label}:" for label in axes[-1]] if axes else [":"]
-            at.append((start, len(end), len(leads), len(ends)))
-            leads += label_product(" " + head, axes[:-1]).tolist()
-            ends += end
-    width = max(map(len, leads), default=0) + max(map(len, ends), default=0)
-    leads, ends, at = np.array(leads, dtype=object), np.array(ends, dtype=object), np.array(at, dtype=np.int64)
-
-    def prefix(r0: int, r1: int):
-        rows = np.arange(r0, r1)
-        start, period, lead_at, end_at = at[np.searchsorted(at[:, 0], rows, side="right") - 1].T
-        lead, end = np.divmod(rows - start, period)
-        return leads[lead_at + lead], ends[end_at + end]
-
-    return prefix, width
-
-
 def _rows_text(model: ModelInstance, names: np.ndarray) -> list[str]:
-    """The Subject To lines, one string per run of rows from ``_runs``
-    (``_run_text``). Only these texts outlive their rows, so the run size
-    sets the memory."""
-    prefix, prefix_width = _prefixes(model.tags)
-    widths = prefix_width, _widest(model.catalog.names)
-    return [_run_text(model, names, prefix(r0, r1), widths, r0, r1) for r0, r1 in _runs(model.indptr)]
+    """The Subject To lines, one string per run of rows (``_run_text``).
+
+    Each non-empty block of ``model.tags`` is cut into runs that stay inside
+    it. A row weighs its terms plus one, so runs of empty rows stay bounded
+    too; a run weighs at most ``EXPORT_RUN_TERMS`` unless it is one heavier
+    row. Only these texts outlive their rows, so the run size sets the
+    memory. Row ``i`` of a block ``head`` over ``axes`` leads with
+    ``label_product(" " + head, axes[:-1])[i // p]`` and ends with label
+    ``i % p`` of its last axis (``p`` labels) and ``":"``; no tag is built.
+    """
+    weight = model.indptr + np.arange(model.indptr.size)
+    name_width = _widest(model.catalog.names)
+    texts = []
+    for start, stop, head, axes in model.tags.blocks():
+        if stop == start:
+            continue
+        leads = label_product(" " + head, axes[:-1])
+        ends = np.array([f"_{label}:" for label in axes[-1]] if axes else [":"], dtype=object)
+        widths = max(map(len, leads.tolist())) + max(map(len, ends.tolist())), name_width
+        r0 = start
+        while r0 < stop:
+            r1 = int(np.searchsorted(weight, weight[r0] + EXPORT_RUN_TERMS, side="right")) - 1
+            r1 = min(max(r1, r0 + 1), stop)
+            lead, end = np.divmod(np.arange(r0 - start, r1 - start), ends.size)
+            texts.append(_run_text(model, names, (leads[lead], ends[end]), widths, r0, r1))
+            r0 = r1
+    return texts
 
 
 def _run_text(model, names, prefix, widths, r0: int, r1: int) -> str:

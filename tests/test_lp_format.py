@@ -436,7 +436,10 @@ def test_run_size_never_changes_the_bytes(monkeypatch, desk_seed1_models, run_te
     want = [export_lp(m) for m in models]
     assert "\n  " in want[1]
     monkeypatch.setattr(lp_format, "EXPORT_RUN_TERMS", run_terms)
-    assert len(list(lp_format._runs(desk_seed1_models[0].indptr))) > 1
+    model = desk_seed1_models[0]
+    names = np.fromiter(model.catalog.names, dtype=object, count=model.num_cols)
+    blocks = sum(stop > start for start, stop, _, _ in model.tags.blocks())
+    assert len(lp_format._rows_text(model, names)) > blocks  # the weight cut splits a block
     assert [export_lp(m) for m in models] == want
 
 
@@ -481,8 +484,8 @@ def _block_model():
 
 @pytest.mark.parametrize("run_terms", [1, 3, 8, 40])
 def test_templated_blocks_match_the_run_path(monkeypatch, run_terms):
-    # Uniform blocks, blocks that are nearly so and runs that cut through
-    # blocks give the bytes of the export written as one run.
+    # Uniform blocks, blocks that are nearly so and runs that split a block
+    # give the bytes of the export written as one run.
     model = _block_model()
     monkeypatch.setattr(lp_format, "EXPORT_RUN_TERMS", 10**9)
     want = export_lp(model)
@@ -493,6 +496,21 @@ def test_templated_blocks_match_the_run_path(monkeypatch, run_terms):
     assert [line.endswith(" <=") for line in lines if line.startswith(" V")] == [True, True]
     assert " E_1_é: <= 1" in lines and " N: + 2 x000 - 0.5 𝛽023 >= 1e+16" in lines
     assert round_trip_matches(model, parse_lp(want))
+
+
+def test_each_run_stays_inside_one_row_block(monkeypatch):
+    # However large a run may be, it holds the rows of one tag block: one
+    # text per non-empty block, in block order, joined into Subject To.
+    model = _block_model()
+    monkeypatch.setattr(lp_format, "EXPORT_RUN_TERMS", 10**9)
+    names = np.fromiter(model.catalog.names, dtype=object, count=model.num_cols)
+    texts = lp_format._rows_text(model, names)
+    tags = [[line[1:line.index(":")] for line in text.splitlines() if not line.startswith("  ")]
+            for text in texts]
+    assert tags == [[model.tags[i] for i in range(start, stop)]
+                    for start, stop, _, _ in model.tags.blocks() if stop > start]
+    text = export_lp(model)
+    assert "".join(texts) == text[text.index("Subject To\n") + len("Subject To\n"):text.index("Bounds\n")]
 
 
 def test_grid_names_catalog_folds_like_its_list():
