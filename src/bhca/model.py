@@ -73,6 +73,19 @@ class VariableCatalog:
         )
         self.num_cols = len(self.names)
 
+    def encode(self, a, beta, z, tu, tl, theta) -> np.ndarray:
+        """Column vector of the families, arrays shaped as their grids; the
+        products are ``q = beta * z``, as the C9 rows force at binary ``z``."""
+        x = np.zeros(self.num_cols)
+        x[self.a] = a
+        x[self.beta] = beta
+        x[self.q] = beta[..., None] * z[:, None, None, :]
+        x[self.z] = z
+        x[self.tu] = tu
+        x[self.tl_col] = tl
+        x[self.theta_col] = theta
+        return x
+
 
 class BaselineCatalog:
     """Column layout of the baseline stage-1 model: z (l, t) blocks, then
@@ -86,6 +99,13 @@ class BaselineCatalog:
         ])
         self.z, self.theta_col = self.names.grids()
         self.num_cols = len(self.names)
+
+    def encode(self, z, theta) -> np.ndarray:
+        """Column vector of the illumination grid ``z`` (l, t) and ``theta``."""
+        x = np.zeros(self.num_cols)
+        x[self.z] = z
+        x[self.theta_col] = theta
+        return x
 
     def z_col(self, l: int, t: int) -> int:
         return int(self.z[l, t])
@@ -107,6 +127,11 @@ def label_product(head: str, axes) -> np.ndarray:
         labels = np.array(["_" + label for label in axis], dtype=object)
         names = (names[:, None] + labels).ravel()
     return names
+
+
+def ratio_coefficients(rate: np.ndarray, demand: np.ndarray):
+    """C4 and C5 coefficients of the (l, c, u) fills: a slot's rate per unit of user and of cluster demand."""
+    return rate / demand[:, None, :], rate / demand.sum(axis=1)[:, None, None]
 
 
 def block_grids(shapes) -> list:
@@ -332,19 +357,18 @@ def build_model(
     if bad.size:
         l, u = bad[0]
         raise StructuralError(f"user demand must be positive (cluster {l}, user {u})")
-    user_coef = (R / demand[:, None, :]).transpose(0, 2, 1)           # (l, u, c)
+    user_coef, cluster_coef = ratio_coefficients(R, demand)
     rows.add(
         "C4", (ls, us),
         chain_terms(q.transpose(0, 2, 1, 3).reshape(L, U, C * T), tu[:, None, None]),
-        chain_terms(np.repeat(user_coef, T, axis=2), [-1.0]),
+        chain_terms(np.repeat(user_coef.transpose(0, 2, 1), T, axis=2), [-1.0]),
         GREATER, 0.0,
     )
     # C5: per-cluster supply covers the system ratio floor, same normalization.
-    cluster_coef = (R / demand.sum(axis=1)[:, None, None]).reshape(L, C * U)
     rows.add(
         "C5", (ls,),
         chain_terms(q.reshape(L, C * U * T), [cat.tl_col]),
-        chain_terms(np.repeat(cluster_coef, T, axis=1), [-1.0]),
+        chain_terms(np.repeat(cluster_coef.reshape(L, C * U), T, axis=1), [-1.0]),
         GREATER, 0.0,
     )
     # C6: adjacent clusters never co-illuminated.

@@ -11,15 +11,15 @@ Pricing is Dantzig by default; a stall counter switches to Bland's rule
 permanently once the objective stops improving for too long, which guarantees
 termination on degenerate models.
 
-``solve_dense`` solves one LP with a scalar pivot loop. ``solve_dense_batch``
-solves LPs that share ``c, A, senses, b`` and differ only in their bounds:
-their tableaux live in one ``(B, m, N)`` array and pivot in lockstep. Both
-share the set-up, the finish and the pricing row each phase starts from,
-``z = cost - cost_B T`` with cost -1 on the artificials in phase 1 and ``c``
-in phase 2. That row adds the tableau rows in order, column by column, so
-it does not depend on the other LPs of a batch or on the artificial slots an
-LP does not use, and a batch member's result is bit-identical to
-``solve_dense`` on the same LP.
+``solve_dense_batch`` solves LPs that share ``c, A, senses, b`` and differ
+only in their bounds: their tableaux live in one ``(B, m, N)`` array and
+pivot in lockstep, and a phase that starts with one LP runs the scalar
+pivot loop ``_iterate``; ``solve_dense`` is a batch of one. Every LP starts
+each phase from the pricing row ``z = cost - cost_B T``, with cost -1 on
+the artificials in phase 1 and ``c`` in phase 2. That row adds the tableau
+rows in order, column by column, so it does not depend on the other LPs of
+a batch or on the artificial slots an LP does not use, and a batch
+member's result is bit-identical to ``solve_dense`` on the same LP.
 
 The batch path works in place, and each LP keeps its own slot of the batch
 axis from set-up to finish. A pivot step covers the whole batch but writes
@@ -51,18 +51,8 @@ class LpSolution:
 
 
 def solve_dense(c, A, senses, b, lower, upper) -> LpSolution:
-    """Solve max c.x s.t. A x (senses) b, lower <= x <= upper."""
-    tab = _Tableaux(c, A, senses, b, np.asarray(lower, dtype=float)[None],
-                    np.asarray(upper, dtype=float)[None])
-    if tab.alive[0]:
-        state = (tab.T[0], tab.rhs[0], tab.z[0], tab.basis[0], tab.sign[0], tab.ub[0],
-                 int(tab.max_iter[0]), int(tab.bland_after[0]))
-        if tab.art[0].any():
-            tab.settle([0], *_iterate(*state), phase=1)
-        tab.phase_two()
-        if tab.alive[0]:
-            tab.settle([0], *_iterate(*state), phase=2)
-    return tab.finish()[0]
+    """Solve max c.x s.t. A x (senses) b, lower <= x <= upper: a batch of one."""
+    return solve_dense_batch(c, A, senses, b, np.asarray(lower)[None], np.asarray(upper)[None])[0]
 
 
 def solve_dense_batch(c, A, senses, b, lowers, uppers) -> list[LpSolution]:
@@ -310,9 +300,14 @@ def _iterate_batch(tab: _Tableaux, lps: np.ndarray, phase: int) -> None:
     through ``where=`` masks; a finished LP takes a zero step, so its
     numbers raise no warning. The rank-1 update runs in quarters of the
     batch through one reused buffer: the working set is 1.25 times the
-    tableaux.
+    tableaux. A phase that starts with one LP pivots it with ``_iterate``.
     """
     if not lps.size:
+        return
+    if lps.size == 1:
+        k = int(lps[0])
+        tab.settle(lps, *_iterate(tab.T[k], tab.rhs[k], tab.z[k], tab.basis[k], tab.sign[k], tab.ub[k],
+                                  int(tab.max_iter[k]), int(tab.bland_after[k])), phase=phase)
         return
     T, rhs, z, basis, sign, ub = tab.T, tab.rhs, tab.z, tab.basis, tab.sign, tab.ub
     r = np.arange(T.shape[0])

@@ -45,7 +45,7 @@ from heapq import heappush, heappop
 import numpy as np
 
 from .model import (EQUAL, GREATER, LESS, BaselineCatalog, ModelInstance, RowBuilder, VariableCatalog,
-                    block_grids, chain_terms, index_labels, stack_terms)
+                    block_grids, chain_terms, index_labels, ratio_coefficients, stack_terms)
 from .simplex import RESIDUAL_TOL, LpSolution, solve_dense, solve_dense_batch
 
 # An integer column within this distance of an integer counts as integral,
@@ -373,6 +373,7 @@ class _BhCounts:
     floor_missed = False
 
     def __init__(self, model: ModelInstance):
+        self.cat = model.catalog
         self.T = model.catalog.num_slots
         self.ratio = model.rate_per_slot / model.demand
         self.eps = model.epsilon_tiebreak
@@ -389,8 +390,7 @@ class _BhCounts:
 
     def plan(self, y):
         z = _schedule(self.M, y, self.T)
-        theta = float((self.ratio[:, None] * z).sum(axis=1).min())
-        return np.append(z.ravel(), theta)
+        return self.cat.encode(z, float((self.ratio[:, None] * z).sum(axis=1).min()))
 
     def expand(self, v):
         return self.plan(v[_ratio_columns(self.M)[1]])
@@ -411,9 +411,7 @@ class _JointCounts:
         self.fills = fills
         self.floor_missed = False
         self.L, self.C, self.U, self.T = cat.num_clusters, cat.num_carriers, cat.num_users, cat.num_slots
-        demand = model.demand
-        self.user_coef = model.rate_per_slot / demand[:, None, :]                    # C4
-        self.cluster_coef = model.rate_per_slot / demand.sum(axis=1)[:, None, None]  # C5
+        self.user_coef, self.cluster_coef = ratio_coefficients(model.rate_per_slot, model.demand)
         self.M = _patterns(self.L, model.active_clusters_per_slot, model.pairs)
         self.axes = tuple(index_labels(p, k) for p, k in (("l", self.L), ("c", self.C), ("u", self.U)))
         # Even fills on delta_max carriers per user, until ``slot_values``
@@ -494,22 +492,14 @@ class _JointCounts:
 
     def _point(self, z, beta):
         """Full column vector: ``a`` marks the nonzero fills of lit clusters,
-        ``q = beta * z``, and the ratio floors are the realised minima."""
-        model, cat = self.model, self.model.catalog
+        and the ratio floors are the realised minima of the supplies, which
+        sum the products ``q = beta * z`` over the slots."""
         beta = beta * (z.sum(axis=1) > 0)[:, None, None]
-        q = beta[:, :, :, None] * z[:, None, None, :]
-        x = np.zeros(model.num_cols)
-        x[cat.a] = beta > 0
-        x[cat.beta] = beta
-        x[cat.q] = q
-        x[cat.z] = z
-        served = q.sum(axis=3)
+        served = (beta[..., None] * z[:, None, None, :]).sum(axis=3)
         t_user = np.einsum("lcu,lcu->lu", served, self.user_coef).min(axis=1)
         t_cluster = float(np.einsum("lcu,lcu->l", served, self.cluster_coef).min())
-        x[cat.tu] = t_user
-        x[cat.tl_col] = t_cluster
-        x[cat.theta_col] = min(float(t_user.min()), t_cluster)
-        return x
+        theta = min(float(t_user.min()), t_cluster)
+        return self.model.catalog.encode(beta > 0, beta, z, t_user, t_cluster, theta)
 
 
 MAX_ORACLE_BINARIES = 24
@@ -553,8 +543,6 @@ def brute_force(model: ModelInstance) -> MilpSolution:
     if n_bin > MAX_ORACLE_BINARIES:
         raise ValueError(f"brute_force caps at {MAX_ORACLE_BINARIES} binaries, model has {n_bin}")
     L, C, U, T = cat.num_clusters, cat.num_carriers, cat.num_users, cat.num_slots
-    R = model.rate_per_slot
-    demand = model.demand
     eps_fill = model.epsilon_fill
     eps_obj = model.epsilon_tiebreak
 
@@ -582,8 +570,7 @@ def brute_force(model: ModelInstance) -> MilpSolution:
     beta, tu, tl, th = block_grids([(L, C, U), (L,), (), ()])
     n_cols = th + 1
     axes = tuple(index_labels(p, k) for p, k in (("l", L), ("c", C), ("u", U)))
-    user_coef = R / demand[:, None, :]
-    cluster_coef = R / demand.sum(axis=1)[:, None, None]
+    user_coef, cluster_coef = ratio_coefficients(model.rate_per_slot, model.demand)
 
     def inner_rows(n_active):
         rows = RowBuilder()
@@ -683,17 +670,9 @@ def brute_force(model: ModelInstance) -> MilpSolution:
 
     mask, inner = best
     z = list(schedules.values())[best_at[0]]
-    x = np.zeros(model.num_cols)
-    fills = inner[beta]
-    x[cat.a] = mask.reshape(L, C, U)
-    x[cat.beta] = fills
-    x[cat.q] = fills[:, :, :, None] * z[:, None, None, :]
-    x[cat.z] = z
-    x[cat.tu] = inner[tu]
-    x[cat.tl_col] = inner[tl]
-    x[cat.theta_col] = inner[th]
     return MilpSolution(
-        values=x, objective=float(best_obj), status="optimal",
+        values=cat.encode(mask.reshape(L, C, U), inner[beta], z, inner[tu], inner[tl], inner[th]),
+        objective=float(best_obj), status="optimal",
         nodes_explored=evaluated, wall_time=time.perf_counter() - t_start, gap=0.0,
     )
 

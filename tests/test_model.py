@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bhca
+from bhca.baseline import build_bh_model
 from bhca.cli import resolve_config_path
 from bhca.linkbudget import compute_rate_table
 from bhca.lp_format import export_lp
@@ -30,7 +31,7 @@ from bhca.model import (
     validate_solution,
 )
 from bhca.scenario import adjacency_pairs, generate_scenario, load_config
-from bhca.solver import _dense, solve_milp
+from bhca.solver import _dense, brute_force, solve_milp
 
 from conftest import make_bundle, tiny_config
 
@@ -138,6 +139,62 @@ def test_column_grids_tile_the_names(case):
             assert cat.names[grid[cell]] == "_".join([head, *(str(k + 1) for k in cell)])
     if isinstance(cat, BaselineCatalog):
         assert cat.z_col(cat.num_clusters - 1, 1) == cat.z[-1, 1]
+
+
+def _families(cat, x):
+    """The families of the point ``x``, read through the grids, as ``encode`` takes them."""
+    if isinstance(cat, BaselineCatalog):
+        return x[cat.z], x[cat.theta_col]
+    return x[cat.a], x[cat.beta], x[cat.z], x[cat.tu], x[cat.tl_col], x[cat.theta_col]
+
+
+@pytest.mark.parametrize("config, seed, route", [
+    *(("tiny", seed, route) for seed in (1, 2, 3) for route in ("joint", "bh", "oracle")),
+    ("desk", 1, "joint"), ("desk", 1, "bh"), ("table2", 7, "bh"),
+], ids=str)
+def test_encode_gives_back_the_solvers_points(config, seed, route, modcod):
+    if config == "tiny":
+        config = tiny_config(seed)
+    else:
+        config = dataclasses.replace(load_config(resolve_config_path(config)), rng_seed=seed)
+    scenario, rates, pairs, model = make_bundle(config, modcod)
+    if route == "bh":
+        model = build_bh_model(scenario, rates, pairs)
+    x = (brute_force if route == "oracle" else solve_milp)(model).values
+    encoded = model.catalog.encode(*_families(model.catalog, x))
+    assert encoded.view(np.uint64).tolist() == x.view(np.uint64).tolist()
+
+
+def test_encode_puts_each_family_on_its_named_columns():
+    L, C, U, T = 2, 3, 4, 5
+    cat = VariableCatalog(L, C, U, T)
+
+    def encoded_names(**ones):
+        """Names of the nonzero columns when each family in ``ones`` holds a 1 at its cell."""
+        families = dict(a=np.zeros((L, C, U)), beta=np.zeros((L, C, U)), z=np.zeros((L, T)),
+                        tu=np.zeros(L), tl=0.0, theta=0.0)
+        for family, cell in ones.items():
+            if cell == ():
+                families[family] = 1.0
+            else:
+                families[family][cell] = 1.0
+        return [cat.names[j] for j in np.flatnonzero(cat.encode(**families))]
+
+    assert encoded_names(a=(1, 2, 3)) == ["a_2_3_4"]
+    assert encoded_names(beta=(1, 2, 3)) == ["beta_2_3_4"]
+    assert encoded_names(z=(1, 4)) == ["z_2_5"]
+    assert encoded_names(tu=1) == ["tU_2"]
+    assert encoded_names(tl=()) == ["tL"]
+    assert encoded_names(theta=()) == ["theta"]
+    # A lit fill makes its product: q = beta * z.
+    assert encoded_names(beta=(1, 2, 3), z=(1, 4)) == ["beta_2_3_4", "q_2_3_4_5", "z_2_5"]
+    assert encoded_names(beta=(1, 2, 3), z=(0, 4)) == ["beta_2_3_4", "z_1_5"]
+
+    bh = BaselineCatalog(3, 4)
+    z = np.zeros((3, 4))
+    z[2, 1] = 1.0
+    assert [bh.names[j] for j in np.flatnonzero(bh.encode(z, 0.0))] == ["z_3_2"]
+    assert [bh.names[j] for j in np.flatnonzero(bh.encode(np.zeros((3, 4)), 1.0))] == ["theta"]
 
 
 def test_assignment_and_fill_carry_no_time_axis(tiny_bundle):

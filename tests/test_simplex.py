@@ -96,11 +96,11 @@ def test_negative_rhs_rows_normalize():
     assert sol.values[0] == pytest.approx(2.0)
 
 
-def test_random_lps_match_scipy():
-    linprog = pytest.importorskip("scipy.optimize").linprog
+def _random_lps():
+    """60 seeded LPs ``(c, A, senses, b, lower, upper)`` of 1-6 rows of any
+    sense and 2-6 columns, about half of them capped."""
     rng = np.random.default_rng(42)
-    agree = 0
-    for trial in range(60):
+    for _ in range(60):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 7))
         A = np.round(rng.normal(size=(m, n)), 3)
@@ -108,7 +108,14 @@ def test_random_lps_match_scipy():
         c = np.round(rng.normal(size=n), 3)
         senses = [str(rng.choice(["<=", ">=", "="]))for _ in range(m)]
         upper = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 3.0, n), INF)
-        sol = solve_dense(c, A, senses, b, np.zeros(n), upper)
+        yield c, A, senses, b, np.zeros(n), upper
+
+
+def test_random_lps_match_scipy():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    agree = 0
+    for trial, (c, A, senses, b, lower, upper) in enumerate(_random_lps()):
+        sol = solve_dense(c, A, senses, b, lower, upper)
 
         A_ub, b_ub, A_eq, b_eq = [], [], [], []
         for i, s in enumerate(senses):
@@ -294,6 +301,23 @@ def test_phase_one_needs_no_more_memory_than_phase_two(monkeypatch):
     assert {s.status for s in sols} == {"optimal"}
     assert len({s.iterations for s in sols}) >= 8  # members finish apart, so most steps mask some out
     assert peaks[1] <= peaks[2] < 2.0
+
+
+def test_one_lp_batch_pivots_in_the_scalar_loop(monkeypatch):
+    # Two copies of an LP pivot in lockstep, through the batch ratio test; a
+    # lone LP never reaches it, and all three give the same bits.
+    lps = list(_random_lps())
+    lockstep = [solve_dense_batch(c, A, senses, b, np.stack([lo, lo]), np.stack([up, up]))
+                for c, A, senses, b, lo, up in lps]
+
+    def refuse(*args):
+        raise AssertionError("a one-LP batch reached the batch ratio test")
+
+    monkeypatch.setattr(simplex, "_ratio_test", refuse)
+    for (c, A, senses, b, lo, up), pair in zip(lps, lockstep):
+        one = solve_dense_batch(c, A, senses, b, lo[None], up[None])
+        _assert_bit_identical(one, [solve_dense(c, A, senses, b, lo, up)])
+        _assert_bit_identical(pair, one * 2)
 
 
 _VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.25, 1.0, 1.5, 3.0])
