@@ -12,16 +12,11 @@ block's tags come from its head and labels, not built one by one, and a
 coefficient, sense or rhs that every row of the run holds is one string.
 A run is searched for lines to fold only when its longest pieces could
 make a line wider than the fold width. The run size does not change the
-bytes. The writer refuses a name the reader would not read back: one
-holding whitespace or a ``\\``, a column name that reads as a number,
-sign, sense or row start, or a name given twice. One function checks the
-names, from each block's head and labels. The reader accepts only the
-constructs the writer emits.
+bytes. Names are written as given; the reader accepts only the constructs
+the writer emits.
 """
 from __future__ import annotations
 
-import itertools
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,98 +197,11 @@ def _run_text(model, names, prefix, widths, r0: int, r1: int) -> str:
     return "".join(parts)
 
 
-def _holds_whitespace(text: str) -> bool:
-    """Whether ``str.split`` cuts ``text``; ``str.splitlines`` cuts only at
-    characters ``str.split`` cuts at too."""
-    return bool(text) and text.split(maxsplit=1) != [text]
-
-
-def _flaw(name: str) -> str | None:
-    """What in ``name`` ``parse_lp`` would cut at or drop, or None: it reads
-    lines with ``str.splitlines``, tokens with ``str.split``, and drops each
-    line from its first ``\\`` on."""
-    if "\\" in name:
-        return "a backslash, which starts a comment"
-    if _holds_whitespace(name):
-        return "whitespace" if name.splitlines() == [name] else "a line break"
-    return None
-
-
-# A column name starts with one of these if float() may read it (a sign, a
-# point, a decimal digit, "i" or "n" for inf and nan) or if it is a sign or
-# a sense; see ``_check_names``.
-_MISREAD_LEAD = re.compile(r"[-+.<>=\diInN]")
-
-
-def _misread(name: str) -> str | None:
-    """How ``parse_lp`` would misread the column name ``name``, or None."""
-    if name in ("+", "-"):
-        return "a sign"
-    if name in SENSES:
-        return "a sense"
-    if not name:
-        return "nothing"
-    if name.endswith(":"):
-        return "the start of a row"
-    try:
-        float(name)
-    except ValueError:
-        return None
-    return "a number"
-
-
-def _check_names(kind: str, names: GridNames) -> None:
-    """Raise ``ValueError`` naming the first of ``names`` holding a ``_flaw``,
-    then, for columns, the first ``parse_lp`` would misread (``_misread``),
-    then the first that appears twice: ``parse_lp`` refuses a second row or
-    bounds line of one name, and merges the terms of a repeated column.
-
-    A name is its block's head, then ``_`` and one label per axis, so a block
-    is checked through its head and labels, and its names are rendered only
-    to name a bad one or when these cannot prove it sound. A name holds
-    whitespace or a ``\\`` only if its head or a label does. It starts with
-    its head (with ``_`` after an empty one) and ends with a last-axis label
-    (the head, without axes), so only a block whose head is empty or starts
-    as a number, sign or sense does, or whose names can end in ``":"``, may
-    hold a misread name. Names are distinct when the heads differ and hold
-    no ``_``, and each axis's labels differ and hold equally many ``_``:
-    split at its ``_``, a name then starts with its head, and each axis's
-    label fills the same places in every name of its block.
-    """
-    blocks = [(head, axes) for start, stop, head, axes in names.blocks() if stop > start]
-    if _flaw("".join(head + "".join(itertools.chain.from_iterable(axes)) for head, axes in blocks)):
-        name = next(n for n in names if _flaw(n))
-        raise ValueError(
-            f"{kind} {name!r} holds {_flaw(name)}; the LP format writes every name as one token on "
-            "one line, outside any comment"
-        )
-    for head, axes in blocks if kind == "column" else ():
-        ends = axes[-1] if axes else (head,)
-        if not head or _MISREAD_LEAD.match(head) or any(end.endswith(":") for end in ends):
-            for name in label_product(head, axes).tolist():
-                why = _misread(name)
-                if why:
-                    raise ValueError(f"column {name!r} reads as {why} in the LP format, not as a name")
-    heads = [head for head, _ in blocks]
-    if (len(set(heads)) == len(heads) and "_" not in "".join(heads)
-            and all(len(set(axis)) == len(axis) and len({label.count("_") for label in axis}) <= 1
-                    for _, axes in blocks for axis in axes)):
-        return
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise ValueError(f"{kind} {name!r} appears twice; the LP format names every {kind} once")
-        seen.add(name)
-
-
 def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first column or row holding a name or
-    number the dialect cannot carry: the column names and then the row tags
-    are checked first (``_check_names``); then a column has no free or
+    """Raise ``ValueError`` naming the first column or row holding a bound,
+    sense or number the dialect cannot carry: a column has no free or
     ``-inf`` bound form, a row's sense is a code into ``SENSES``, and a
     coefficient or rhs must be finite."""
-    _check_names("column", model.catalog.names)
-    _check_names("row", model.tags)
     bad = ~np.isfinite(model.lower) | ~(model.upper > -np.inf) | ~np.isfinite(model.objective)
     if bad.any():
         j = int(bad.argmax())
@@ -314,7 +222,15 @@ def _check_writable(model: ModelInstance, names: np.ndarray) -> None:
 
 
 def export_lp(model: ModelInstance) -> str:
-    """Render the model as CPLEX-LP text; repeated calls are byte-identical."""
+    """Render the model as CPLEX-LP text; repeated calls are byte-identical.
+
+    Column names and row tags are written as given, so each must be one
+    token the reader reads back: distinct, free of whitespace and ``\\``,
+    and, for a column, not read as a number, sign or sense. The names
+    ``build_model`` and ``build_bh_model`` write are literal heads joined to
+    integer labels, sound by construction;
+    ``tests/test_lp_format.py::test_product_names_are_sound`` proves them so.
+    """
     names = np.fromiter(model.catalog.names, dtype=object, count=model.num_cols)
     _check_writable(model, names)
     out = ["\\ Problem: bhca\nMaximize\n"]
