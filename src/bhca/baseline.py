@@ -22,18 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as _model
 from .linkbudget import RateTable
 from .model import (
     DEFAULT_EPSILON_TIEBREAK,
     GREATER,
     LESS,
     BaselineCatalog,
-    InfeasibleSolutionError,
     ModelInstance,
     RowBuilder,
     chain_terms,
     index_labels,
+    require_feasible,
 )
 from .scenario import Scenario
 from .solver import MilpSolution, SolverOptions, solve_milp
@@ -172,11 +171,7 @@ def solve_bh(
     ``InfeasibleSolutionError`` if the stage-1 point fails its rows."""
     model = build_bh_model(scenario, rates, pairs)
     stage1 = solve_milp(model, options, log=log)
-    # Looked up on the module at call time, as ``decode_plan`` does, so
-    # bench/tracing.py counts the audit under ``model.validate_s``.
-    report = _model.validate_solution(model, stage1.values)
-    if not report.empty:
-        raise InfeasibleSolutionError(report)
+    require_feasible(model, stage1.values)
     cat = model.catalog
     z = stage1.values[cat.z] > 0.5
 

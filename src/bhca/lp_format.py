@@ -267,7 +267,8 @@ class ParsedLp:
     """Structured view of an LP document, for comparisons and rebuilds.
 
     ``constraints`` maps each row name to ``(terms, sense, rhs)`` in
-    document order; ``bounds`` holds the Bounds lines as ``(lo, hi)``.
+    document order, each row's terms in document order too; ``bounds``
+    holds the Bounds lines as ``(lo, hi)``.
     """
 
     objective: dict[str, float]
@@ -275,71 +276,61 @@ class ParsedLp:
     bounds: dict[str, tuple[float, float]]
     binaries: tuple[str, ...]
 
-    def canonical_rows(self):
-        return {
-            name: (tuple(sorted(terms)), sense, rhs)
-            for name, (terms, sense, rhs) in self.constraints.items()
-        }
-
 
 _SECTIONS = ("Maximize", "Subject To", "Bounds", "Binaries", "End")
 
 
-def _accumulate_terms(tokens: list[str]) -> dict[str, float]:
-    terms: dict[str, float] = {}
-    sign = 1.0
-    coef: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            if coef is not None:
-                raise ValueError(f"dangling coefficient before '{tok}'")
-            sign = 1.0
-        elif tok == "-":
-            if coef is not None:
-                raise ValueError(f"dangling coefficient before '{tok}'")
-            sign = -1.0
-        else:
-            try:
-                value = float(tok)
-            except ValueError:
-                terms[tok] = terms.get(tok, 0.0) + sign * (1.0 if coef is None else coef)
-                sign = 1.0
-                coef = None
-            else:
-                if coef is not None:
-                    raise ValueError(f"two consecutive numbers near '{tok}'")
-                coef = value
-    if coef is not None:
-        raise ValueError("expression ends with a dangling coefficient")
-    return terms
+def _terms(tokens: list[str], where: str) -> tuple[tuple[str, float], ...]:
+    """``tokens`` read as terms ``+ <number> <name>`` or ``- <number> <name>``,
+    each name at most once, as ``(name, coefficient)`` in document order."""
+    signs, names = tokens[0::3], tokens[2::3]
+    try:
+        if len(tokens) % 3 or signs.count("+") + signs.count("-") != len(signs):
+            raise ValueError
+        # The sign joins the number, so a signed number such as "+ -2" is refused.
+        coefs = [float(s + v) for s, v in zip(signs, tokens[1::3])]
+    except ValueError:
+        raise ValueError(f"{where} is not a run of '+ <number> <name>' and '- <number> <name>' terms") from None
+    if len(set(names)) != len(names):
+        raise ValueError(f"{where} holds a column twice")
+    return tuple(zip(names, coefs))
 
 
 def parse_lp(text: str) -> ParsedLp:
-    """Parse an LP document in the form ``export_lp`` writes.
+    """Parse an LP document in exactly the form ``export_lp`` writes.
 
-    Section headers are the five ``export_lp`` writes, alone on a line at
-    column 0; every other line is indented. A row reads ``name: expr sense
-    rhs`` with sense ``<=``, ``>=`` or ``=`` and may fold onto following
-    lines; a bound reads ``lo <= x <= hi`` or ``x >= lo``. ``\\`` starts a
-    comment. Anything else, and a row name or a bounded variable that
-    appears twice, raises ``ValueError``.
+    The sections are ``Maximize``, ``Subject To``, ``Bounds``, ``Binaries``
+    and ``End``, each at most once and in that order, each header alone on
+    a line at column 0; the document ends at ``End``. Every other line is
+    indented, and ``\\`` starts a comment. The objective reads ``obj:``
+    then its terms. A row reads ``name:``, then its terms, then a sense
+    ``<=``, ``>=`` or ``=``, then the rhs, and may fold onto following
+    lines. A term reads ``+ <number> <name>`` or ``- <number> <name>``, the
+    number unsigned, and a column appears at most once in the objective and
+    once in each row. A bound reads ``lo <= x <= hi`` or ``x >= lo``.
+    Anything else, and a row name or a bounded variable that appears twice,
+    raises ``ValueError`` naming the row, line or section.
     """
-    section = None
+    section, headers = None, _SECTIONS
     objective_tokens: list[str] = []
     constraint_chunks: list[list[str]] = []
     bounds_lines: list[list[str]] = []
     binary_tokens: list[str] = []
 
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].rstrip()
-        if not line:
+    for line in text.splitlines():
+        if "\\" in line:
+            line = line[:line.index("\\")]
+        tokens = line.split()
+        if not tokens:
             continue
+        if section == "End":
+            raise ValueError(f"content after End: {line!r}")
         if not line[0].isspace():
-            if line not in _SECTIONS:
-                raise ValueError(f"unknown section header: {line!r}")
+            if line not in headers:
+                raise ValueError(f"section header {line!r} is unknown, repeated or out of order")
+            headers = headers[headers.index(line) + 1:]
             section = line
             continue
-        tokens = line.split()
         if section == "Maximize":
             objective_tokens.extend(tokens)
         elif section == "Subject To":
@@ -355,32 +346,38 @@ def parse_lp(text: str) -> ParsedLp:
             binary_tokens.extend(tokens)
         else:
             raise ValueError(f"content outside any section: {line!r}")
+    if section != "End":
+        raise ValueError("document does not end with an End section")
 
-    # Objective: strip the label.
-    if objective_tokens and objective_tokens[0].endswith(":"):
-        objective_tokens = objective_tokens[1:]
-    objective = _accumulate_terms(objective_tokens)
+    if objective_tokens[:1] != ["obj:"]:
+        raise ValueError("objective does not start with 'obj:'")
+    objective = dict(_terms(objective_tokens[1:], "objective"))
 
     constraints = {}
     for chunk in constraint_chunks:
         name = chunk[0][:-1]
-        body = chunk[1:]
-        sense_pos = next((i for i, t in enumerate(body) if t in SENSES), None)
-        if sense_pos is None or sense_pos != len(body) - 2:
-            raise ValueError(f"constraint {name!r} lacks 'expr <sense> rhs' shape")
+        where = f"constraint {name!r}"
+        try:
+            if len(chunk) < 3 or chunk[-2] not in SENSES:
+                raise ValueError
+            rhs = float(chunk[-1])
+        except ValueError:
+            raise ValueError(f"{where} does not end in '<sense> <rhs>'") from None
         if name in constraints:
-            raise ValueError(f"constraint {name!r} appears twice")
-        terms = _accumulate_terms(body[:sense_pos])
-        constraints[name] = (tuple(terms.items()), body[sense_pos], float(body[-1]))
+            raise ValueError(f"{where} appears twice")
+        constraints[name] = (_terms(chunk[1:-2], where), chunk[-2], rhs)
 
     bounds = {}
     for toks in bounds_lines:
-        if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-            name, bound = toks[2], (float(toks[0]), float(toks[4]))
-        elif len(toks) == 3 and toks[1] == ">=":
-            name, bound = toks[0], (float(toks[2]), float("inf"))
-        else:
-            raise ValueError(f"unsupported bounds line: {' '.join(toks)!r}")
+        try:
+            if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
+                name, bound = toks[2], (float(toks[0]), float(toks[4]))
+            elif len(toks) == 3 and toks[1] == ">=":
+                name, bound = toks[0], (float(toks[2]), float("inf"))
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"unsupported bounds line: {' '.join(toks)!r}") from None
         if name in bounds:
             raise ValueError(f"bounds of {name!r} appear twice")
         bounds[name] = bound
@@ -394,22 +391,24 @@ def parse_lp(text: str) -> ParsedLp:
 
 
 def model_canonical_rows(model: ModelInstance):
-    """The model's rows in the same comparable shape ParsedLp produces."""
+    """The model's rows in the shape ``ParsedLp.constraints`` holds, each
+    row's terms in the order ``export_lp`` writes them."""
     names = list(model.catalog.names)
-    cols, coefs, ptr = model.cols.tolist(), model.coefs.tolist(), model.indptr.tolist()
-    rows = {}
-    for tag, sense, rhs, start, stop in zip(
-        model.tags, model.senses.tolist(), model.rhs.tolist(), ptr[:-1], ptr[1:]
-    ):
-        terms = tuple(sorted((names[c], v) for c, v in zip(cols[start:stop], coefs[start:stop])))
-        rows[tag] = (terms, SENSES[sense], rhs)
-    return rows
+    cols = [names[c] for c in model.cols.tolist()]
+    coefs, ptr = model.coefs.tolist(), model.indptr.tolist()
+    return {
+        tag: (tuple(zip(cols[start:stop], coefs[start:stop])), SENSES[sense], rhs)
+        for tag, sense, rhs, start, stop in zip(
+            model.tags, model.senses.tolist(), model.rhs.tolist(), ptr[:-1], ptr[1:]
+        )
+    }
 
 
 def round_trip_matches(model: ModelInstance, parsed: ParsedLp) -> bool:
     """True when the parsed document carries exactly the model's objective,
-    rows, bounds and binaries."""
-    if parsed.canonical_rows() != model_canonical_rows(model):
+    rows, bounds and binaries, each row's terms and the binaries in the
+    order ``export_lp`` writes them."""
+    if parsed.constraints != model_canonical_rows(model):
         return False
     names = list(model.catalog.names)
     obj_cols = np.nonzero(model.objective)[0].tolist()
@@ -417,5 +416,5 @@ def round_trip_matches(model: ModelInstance, parsed: ParsedLp) -> bool:
     return (
         parsed.objective == {names[j]: model.objective[j] for j in obj_cols}
         and parsed.bounds == {names[j]: (model.lower[j], model.upper[j]) for j in bound_cols}
-        and set(parsed.binaries) == {names[j] for j in np.nonzero(model.binary)[0].tolist()}
+        and parsed.binaries == tuple(names[j] for j in np.nonzero(model.binary)[0].tolist())
     )

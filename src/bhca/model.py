@@ -465,6 +465,14 @@ def validate_solution(model: ModelInstance, assignment: np.ndarray) -> Violation
     return ViolationReport(entries=tuple(entries))
 
 
+def require_feasible(model: ModelInstance, assignment: np.ndarray) -> None:
+    """Raise ``InfeasibleSolutionError`` with the ``validate_solution`` report
+    when the assignment breaks a row, bound or binary of the model."""
+    report = validate_solution(model, assignment)
+    if not report.empty:
+        raise InfeasibleSolutionError(report)
+
+
 @dataclass(frozen=True)
 class AllocationPlan:
     """Decoded, human-meaningful plan for the joint scheme."""
@@ -500,17 +508,12 @@ def decode_plan(model: ModelInstance, solution, scenario: Scenario) -> Allocatio
     computed from the q columns so plan totals equal the model's own supply
     terms exactly.
     """
-    report = validate_solution(model, solution.values)
-    if not report.empty:
-        raise InfeasibleSolutionError(report)
+    require_feasible(model, solution.values)
     cat = model.catalog
     x = solution.values
     q, z, a, beta = x[cat.q], x[cat.z], x[cat.a], x[cat.beta]
 
-    rate = model.rate_per_slot
-    if rate is None:
-        raise StructuralError("model carries no rate data; was it built by build_model?")
-    user_supply = np.einsum("lcut,lcu->lu", q, rate)
+    user_supply = np.einsum("lcut,lcu->lu", q, model.rate_per_slot)
     cluster_supply = user_supply.sum(axis=1)
     schedule = tuple(tuple(np.flatnonzero(slots > 0.5).tolist()) for slots in z)
     carrier_sets = tuple(

@@ -209,7 +209,7 @@ def solve_milp(model: ModelInstance, options: SolverOptions | None = None, log=N
     never decreases. Deterministic for fixed options.
     """
     cat = model.catalog
-    if isinstance(cat, VariableCatalog) and model.rate_per_slot is not None:
+    if isinstance(cat, VariableCatalog):
         counts = _JointCounts(model, fills=model.delta_max < cat.num_carriers)
     elif isinstance(cat, BaselineCatalog):
         counts = _BhCounts(model)
@@ -537,7 +537,7 @@ def brute_force(model: ModelInstance) -> MilpSolution:
     up to LP tolerance; refuses models with more than 24 binaries.
     """
     cat = model.catalog
-    if not isinstance(cat, VariableCatalog) or model.rate_per_slot is None:
+    if not isinstance(cat, VariableCatalog):
         raise ValueError("brute_force requires a planner model built by build_model")
     n_bin = int(model.binary.sum())
     if n_bin > MAX_ORACLE_BINARIES:

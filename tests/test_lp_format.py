@@ -92,12 +92,8 @@ def test_single_binary_model_binaries_section(modcod):
 def test_parsed_numbers_round_trip_exactly(tiny_bundle):
     _, _, _, model = tiny_bundle
     parsed = parse_lp(export_lp(model))
-    rows = model_canonical_rows(model)
-    for name, (terms, sense, rhs) in parsed.canonical_rows().items():
-        want_terms, want_sense, want_rhs = rows[name]
-        assert terms == want_terms
-        assert sense == want_sense
-        assert rhs == want_rhs
+    # Rows, and each row's terms, in the order the writer wrote them.
+    assert list(parsed.constraints.items()) == list(model_canonical_rows(model).items())
 
 
 def test_parser_handles_folded_lines():
@@ -146,9 +142,9 @@ def test_parser_reads_only_the_export_dialect(doc):
 
 
 @pytest.mark.parametrize("row, message", [
-    (" r: x 2 3 <= 1", "two consecutive numbers near '3'"),
-    (" r: 2 + x <= 1", "dangling coefficient before '+'"),
-    (" r: x + 2 <= 1", "expression ends with a dangling coefficient"),
+    (" r: x 2 3 <= 1", "constraint 'r' is not a run of '+ <number> <name>'"),
+    (" r: 2 + x <= 1", "constraint 'r' is not a run of '+ <number> <name>'"),
+    (" r: x + 2 <= 1", "constraint 'r' is not a run of '+ <number> <name>'"),
     (" x <= 1", "constraint continuation before any constraint"),
 ], ids=["two-numbers", "coefficient-before-sign", "coefficient-at-end", "no-row-name"])
 def test_parser_names_a_malformed_row(row, message):
@@ -646,6 +642,36 @@ def test_parser_rejects_a_repeated_row(tiny_bundle):
 def test_parser_rejects_repeated_bounds(bounds):
     with pytest.raises(ValueError, match="bounds of 'x' appear twice"):
         parse_lp(f"Maximize\n obj: + 1 x\nBounds\n{bounds}End\n")
+
+
+def test_round_trip_on_shipped_configs(desk_seed1_models, table2_seed7_models):
+    for model in (*desk_seed1_models, *table2_seed7_models):
+        assert round_trip_matches(model, parse_lp(export_lp(model)))
+
+
+_VALID_DOC = "Maximize\n obj: + 1 x + 2 y\nSubject To\n r: + 1 x - 1 y <= 1\nBounds\n 0 <= y <= 2\nEnd\n"
+
+
+# Each document is _VALID_DOC with one construct export_lp never writes.
+@pytest.mark.parametrize("old, new, message", [
+    (" r: + 1 x", " r: 1 x", "constraint 'r' is not a run of '+ <number> <name>'"),
+    (" r: + 1 x", " r: + x", "constraint 'r' is not a run of '+ <number> <name>'"),
+    (" r: + 1 x", " r: + -1 x", "constraint 'r' is not a run of '+ <number> <name>'"),
+    (" r: + 1 x", " r: + 1 x + 1 x", "constraint 'r' holds a column twice"),
+    (" obj: + 1 x", " obj: + 1 x + 1 x", "objective holds a column twice"),
+    (" obj:", "", "objective does not start with 'obj:'"),
+    ("Subject To\n r: + 1 x - 1 y <= 1\nBounds\n 0 <= y <= 2\n",
+     "Bounds\n 0 <= y <= 2\nSubject To\n r: + 1 x - 1 y <= 1\n", "'Subject To' is unknown, repeated or out of order"),
+    ("Bounds\n", "Subject To\n q: + 1 y >= 0\nBounds\n", "'Subject To' is unknown, repeated or out of order"),
+    ("End\n", "End\nBinaries\n x\n", "content after End: 'Binaries'"),
+    ("End\n", "", "document does not end with an End section"),
+], ids=["unsigned-coefficient", "no-coefficient", "signed-number", "column-twice-in-row", "column-twice-in-objective",
+        "no-obj-label", "sections-out-of-order", "repeated-section", "content-after-end", "no-end"])
+def test_parser_refuses_what_the_writer_never_writes(old, new, message):
+    parse_lp(_VALID_DOC)
+    assert old in _VALID_DOC
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_lp(_VALID_DOC.replace(old, new, 1))
 
 
 def _linprog_relaxation(text: str) -> float:
