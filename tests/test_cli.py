@@ -147,6 +147,29 @@ def test_config_error_emits_nothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("num_clusters", "x"),
+    ("num_clusters", None),
+    ("num_clusters", True),
+    ("slot_duration", "fast"),
+    ("slot_duration", float("nan")),
+    ("rng_seed", 1.9),
+])
+def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, key, value):
+    doc = tiny_config(7).to_dict()
+    doc[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+    diags = capsys.readouterr().out.splitlines()
+    assert len(diags) == 1 and key in diags[0]
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and key in err[0]
+    assert not out.exists()
+
+
 def test_config_with_the_deleted_power_per_beam_key_is_a_config_error(tmp_path, capsys):
     # No code read power_per_beam_watts; configs written before its deletion
     # carry it and are now refused rather than read with a dead key.
